@@ -3,7 +3,9 @@
 /// \brief A compiled application's Special Instruction set: the catalog of
 /// Atom types plus every SI with its Molecule options.
 
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -45,9 +47,21 @@ class SiLibrary {
   const SpecialInstruction& at(std::size_t i) const;
   std::size_t size() const { return sis_.size(); }
 
+  /// catalog().project_rotatable() of every Molecule option of SI `si`, in
+  /// options() order. Computed once at construction: the library is
+  /// immutable, so every selector, manager and simulator sharing it reads
+  /// the same table instead of re-projecting per candidate.
+  std::span<const atom::Molecule> rotatable_options(std::size_t si) const;
+
+  /// Cycles SI `si` takes given `loaded` Atoms: the fastest option whose
+  /// rotatable projection is ≤ `loaded`, else the software Molecule. Same
+  /// value as at(si).cycles_with(loaded, catalog()), read from the table.
+  std::uint32_t cycles_with(std::size_t si, const atom::Molecule& loaded) const;
+
  private:
   AtomCatalog catalog_;
   std::vector<SpecialInstruction> sis_;
+  std::vector<std::vector<atom::Molecule>> rotatable_;  ///< by SI, by option
 };
 
 /// Moves a library value into the immutable shared snapshot form that the

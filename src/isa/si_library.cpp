@@ -17,6 +17,13 @@ SiLibrary::SiLibrary(AtomCatalog catalog, std::vector<SpecialInstruction> sis)
     for (std::size_t j = i + 1; j < sis_.size(); ++j)
       RISPP_REQUIRE(sis_[i].name() != sis_[j].name(),
                     "duplicate SI name: " + sis_[i].name());
+  rotatable_.reserve(sis_.size());
+  for (const auto& si : sis_) {
+    auto& projected = rotatable_.emplace_back();
+    projected.reserve(si.options().size());
+    for (const auto& o : si.options())
+      projected.push_back(catalog_.project_rotatable(o.atoms));
+  }
 }
 
 namespace {
@@ -147,6 +154,26 @@ std::size_t SiLibrary::index_of(const std::string& name) const {
 const SpecialInstruction& SiLibrary::at(std::size_t i) const {
   RISPP_REQUIRE(i < sis_.size(), "SI index out of range");
   return sis_[i];
+}
+
+std::span<const atom::Molecule> SiLibrary::rotatable_options(
+    std::size_t si) const {
+  RISPP_REQUIRE(si < rotatable_.size(), "SI index out of range");
+  return rotatable_[si];
+}
+
+std::uint32_t SiLibrary::cycles_with(std::size_t si,
+                                     const atom::Molecule& loaded) const {
+  const auto& options = at(si).options();
+  const auto& projected = rotatable_[si];
+  std::uint32_t best = sis_[si].software_cycles();
+  bool found = false;
+  for (std::size_t k = 0; k < options.size(); ++k)
+    if (projected[k].leq(loaded) && (!found || options[k].cycles < best)) {
+      best = options[k].cycles;
+      found = true;
+    }
+  return best;
 }
 
 }  // namespace rispp::isa

@@ -348,22 +348,16 @@ class RisppManager {
   mutable std::vector<std::size_t> dead_events_;
 
   /// --- execute() fast path --------------------------------------------
-  /// Per-SI Molecule options with their rotatable projections precomputed
-  /// (the seed re-projected every option on every execution), plus a memo
-  /// of the winning option keyed on the container file's usable-atom
-  /// generation: between rotations the answer cannot change, so the common
-  /// execute() re-checks one integer instead of scanning options.
-  struct ExecOption {
-    const isa::MoleculeOption* opt = nullptr;
-    atom::Molecule projected;  ///< catalog().project_rotatable(opt->atoms)
+  /// Per-SI memo of the winning Molecule option (an index into options()
+  /// and SiLibrary::rotatable_options()), keyed on the container file's
+  /// usable-atom generation: between rotations the answer cannot change, so
+  /// the common execute() re-checks one integer instead of scanning options.
+  struct ExecMemo {
+    std::uint64_t generation = ~std::uint64_t{0};
+    std::optional<std::size_t> best;  ///< nullopt = software molecule
+    bool valid = false;
   };
-  struct ExecCacheEntry {
-    std::vector<ExecOption> options;  ///< in SpecialInstruction order
-    std::uint64_t memo_generation = ~std::uint64_t{0};
-    const ExecOption* memo_best = nullptr;  ///< null = software molecule
-    bool memo_valid = false;
-  };
-  std::vector<ExecCacheEntry> exec_cache_;  ///< by SI index
+  std::vector<ExecMemo> exec_memo_;  ///< by SI index
 
   /// Bumped per booked / cancelled / failed rotation — see
   /// state_generation().

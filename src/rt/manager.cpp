@@ -1,6 +1,7 @@
 #include "rispp/rt/manager.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "rispp/util/error.hpp"
@@ -77,20 +78,8 @@ RisppManager::RisppManager(std::shared_ptr<const isa::SiLibrary> lib,
                     ? to_policy_name(cfg_.legacy_victim_policy())
                     : cfg_.replacement_policy),
       energy_(cfg_.power, cfg_.clock_mhz),
-      batch_(cfg_.sink) {
-  // Precompute the execute() fast-path tables: every Molecule option's
-  // rotatable projection (the satisfied_by / touch input) once, instead of
-  // re-projecting per execution.
-  exec_cache_.resize(lib_->size());
-  for (std::size_t si = 0; si < lib_->size(); ++si) {
-    const auto& options = lib_->at(si).options();
-    exec_cache_[si].options.reserve(options.size());
-    for (const auto& o : options)
-      exec_cache_[si].options.push_back(
-          {&o, lib_->catalog().project_rotatable(o.atoms)});
-  }
-}
-
+      batch_(cfg_.sink),
+      exec_memo_(lib_->size()) {}
 
 RisppManager::RisppManager(const isa::SiLibrary& lib, RtConfig cfg)
     : RisppManager(
@@ -425,39 +414,42 @@ RisppManager::ExecResult RisppManager::execute(std::size_t si, Cycle now,
 
   // Monitoring: an execution counts against every active window for this
   // SI (the task parameter attributes container ownership, not usage).
-  for (auto& [key, state] : active_)
-    if (key.first == si) ++state.observed_executions;
+  // active_ is ordered by (si, task), so this SI's windows are one run.
+  for (auto it = active_.lower_bound({si, std::numeric_limits<int>::min()});
+       it != active_.end() && it->first.first == si; ++it)
+    ++it->second.observed_executions;
 
   // Fastest-supported lookup, allocation-free: right after refresh(now) the
-  // incremental usable_atoms() view equals available_atoms(now) (the seed
-  // rebuilt that Molecule per execution), the candidate projections were
-  // precomputed at construction (the seed re-projected every option per
-  // execution), and the winner is memoized on the usable-atom generation —
-  // between rotations the scan reduces to one integer compare.
+  // incremental usable_atoms() view equals available_atoms(now), the
+  // candidate projections come from the library's precomputed table, and
+  // the winner is memoized on the usable-atom generation — between
+  // rotations the scan reduces to one integer compare.
   const auto& instr = lib_->at(si);
-  auto& cache = exec_cache_[si];
+  const auto& options = instr.options();
+  const auto projected = lib_->rotatable_options(si);
+  auto& memo = exec_memo_[si];
   const auto generation = containers_.usable_generation();
-  if (!cache.memo_valid || cache.memo_generation != generation) {
+  if (!memo.valid || memo.generation != generation) {
     const auto& usable = containers_.usable_atoms();
-    const ExecOption* best = nullptr;
-    for (const auto& o : cache.options)
-      if (o.projected.leq(usable) &&
-          (!best || o.opt->cycles < best->opt->cycles))
-        best = &o;
-    cache.memo_best = best;
-    cache.memo_generation = generation;
-    cache.memo_valid = true;
+    std::optional<std::size_t> best;
+    for (std::size_t o = 0; o < options.size(); ++o)
+      if (projected[o].leq(usable) &&
+          (!best || options[o].cycles < options[*best].cycles))
+        best = o;
+    memo.best = best;
+    memo.generation = generation;
+    memo.valid = true;
   }
-  const ExecOption* chosen = cache.memo_best;
 
   ExecResult res;
-  if (chosen) {
-    res = {chosen->opt->cycles, true, chosen->opt};
-    energy_.add_execution(chosen->opt->cycles, true);
-    containers_.touch(chosen->projected, now);
+  if (memo.best) {
+    const auto& chosen = options[*memo.best];
+    res = {chosen.cycles, true, &chosen};
+    energy_.add_execution(chosen.cycles, true);
+    containers_.touch(projected[*memo.best], now);
     counters_.bump("si_exec_hw");
     record({.at = now, .kind = RtEvent::Kind::ExecuteHw, .si_index = si,
-            .task = task, .cycles = chosen->opt->cycles});
+            .task = task, .cycles = chosen.cycles});
   } else {
     res = {instr.software_cycles(), false, nullptr};
     energy_.add_execution(instr.software_cycles(), false);
@@ -497,23 +489,23 @@ atom::Molecule RisppManager::available_atoms(Cycle now) {
 
 std::vector<ForecastDemand> RisppManager::active_demands() const {
   // Aggregate per SI: weights (expectation × probability) sum across tasks;
-  // ownership goes to the heaviest contributor.
-  std::map<std::size_t, ForecastDemand> merged;
+  // ownership goes to the heaviest contributor. active_ is ordered by
+  // (si, task), so each SI's windows form one run and merge in place.
+  std::vector<ForecastDemand> out;
+  out.reserve(lib_->size());
   for (const auto& [key, state] : active_) {
     const auto& d = state.demand;
-    auto [it, inserted] = merged.emplace(key.first, d);
-    if (inserted) {
+    if (out.empty() || out.back().si_index != key.first) {
+      out.push_back(d);
       // Normalize so weight() is preserved under probability = 1.
-      it->second.expected_executions = d.weight();
-      it->second.probability = 1.0;
+      out.back().expected_executions = d.weight();
+      out.back().probability = 1.0;
       continue;
     }
-    if (d.weight() > it->second.expected_executions) it->second.task = d.task;
-    it->second.expected_executions += d.weight();
+    auto& merged = out.back();
+    if (d.weight() > merged.expected_executions) merged.task = d.task;
+    merged.expected_executions += d.weight();
   }
-  std::vector<ForecastDemand> out;
-  out.reserve(merged.size());
-  for (const auto& [si, d] : merged) out.push_back(d);
   return out;
 }
 

@@ -10,12 +10,11 @@ namespace rispp::rt {
 double SelectionPolicy::benefit(
     const atom::Molecule& config,
     const std::vector<ForecastDemand>& demands) const {
-  const auto& cat = lib_->catalog();
   double total = 0.0;
   for (const auto& d : demands) {
-    const auto& si = lib_->at(d.si_index);
-    const auto cycles = si.cycles_with(config, cat);
-    total += d.weight() * static_cast<double>(si.software_cycles() - cycles);
+    const auto cycles = lib_->cycles_with(d.si_index, config);
+    total += d.weight() * static_cast<double>(
+                              lib_->at(d.si_index).software_cycles() - cycles);
   }
   return total;
 }

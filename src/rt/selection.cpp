@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <span>
 
 #include "rispp/util/error.hpp"
 
@@ -12,67 +13,79 @@ namespace {
 /// only steps whose cumulative target stays within `limit` are admissible —
 /// that is how ExhaustiveSelector orders the upgrades inside its
 /// independently-optimised target.
+///
+/// The target only ever holds rotatable Atoms, so a candidate's container
+/// cost is Σᵢ max(optᵢ − targetᵢ, 0) over the library's precomputed
+/// rotatable projection, and target + residual is the element-wise max.
+/// Both are read straight off the counts; the step's `additional` Molecule
+/// is built once per step, for the winner only.
 SelectionPlan greedy_plan(const isa::SiLibrary& lib,
                           const std::vector<ForecastDemand>& demands,
                           std::uint64_t containers,
                           const atom::Molecule* limit) {
-  const auto& cat = lib.catalog();
   SelectionPlan out;
-  out.target = cat.zero();
+  out.target = lib.catalog().zero();
+  const auto cap = limit ? limit->counts() : std::span<const atom::Count>{};
 
   while (true) {
-    const auto used = cat.rotatable_determinant(out.target);
+    const auto used = out.target.determinant();
+    const auto target = out.target.counts();
     SelectionStep best;
-    bool found = false;
+    const atom::Molecule* best_option = nullptr;
 
     for (const auto& d : demands) {
       if (d.weight() <= 0) continue;
-      const auto& si = lib.at(d.si_index);
-      const auto current = si.cycles_with(out.target, cat);
-      for (const auto& opt : si.options()) {
-        if (opt.cycles >= current) continue;
-        const auto need = cat.project_rotatable(
-            out.target.residual_to(cat.project_rotatable(opt.atoms)));
-        const auto k = need.determinant();
+      const auto& options = lib.at(d.si_index).options();
+      const auto projected = lib.rotatable_options(d.si_index);
+      const auto current = lib.cycles_with(d.si_index, out.target);
+      for (std::size_t o = 0; o < options.size(); ++o) {
+        if (options[o].cycles >= current) continue;
+        const auto opt = projected[o].counts();
+        std::uint64_t k = 0;
+        bool within = true;
+        for (std::size_t i = 0; i < opt.size(); ++i) {
+          if (opt[i] > target[i]) k += opt[i] - target[i];
+          if (limit && std::max(opt[i], target[i]) > cap[i])
+            within = false;
+        }
         if (k == 0) continue;  // already supported (cycles check caught it)
         if (used + k > containers) continue;
-        if (limit && !out.target.plus(need).leq(*limit)) continue;
+        if (!within) continue;
         const double gain =
-            d.weight() * static_cast<double>(current - opt.cycles) /
+            d.weight() * static_cast<double>(current - options[o].cycles) /
             static_cast<double>(k);
-        if (!found || gain > best.gain_per_container) {
-          best = SelectionStep{
-              .si_index = d.si_index,
-              .additional = need,
-              .old_cycles = current,
-              .new_cycles = opt.cycles,
-              .gain_per_container = gain,
-              .task = d.task,
-          };
-          found = true;
+        if (!best_option || gain > best.gain_per_container) {
+          best.si_index = d.si_index;
+          best.old_cycles = current;
+          best.new_cycles = options[o].cycles;
+          best.gain_per_container = gain;
+          best.task = d.task;
+          best_option = &projected[o];
         }
       }
     }
-    if (!found) break;
+    if (!best_option) break;
+    best.additional = out.target.residual_to(*best_option);
     out.target = out.target.plus(best.additional);
-    out.steps.push_back(best);
+    out.steps.push_back(std::move(best));
   }
   return out;
 }
 
 /// Enumerates one option choice (or software = no atoms) per demanded SI and
-/// returns the feasible configuration with the best total benefit.
+/// returns the feasible configuration with the best total benefit. Every
+/// configuration is a union of rotatable projections, so its determinant is
+/// its container count.
 atom::Molecule exhaustive_target(const SelectionPolicy& policy,
                                  const isa::SiLibrary& lib,
                                  const std::vector<ForecastDemand>& demands,
                                  std::uint64_t containers) {
-  const auto& cat = lib.catalog();
-  auto best = cat.zero();
+  auto best = lib.catalog().zero();
   double best_benefit = 0.0;
 
   std::function<void(std::size_t, atom::Molecule)> recurse =
       [&](std::size_t i, atom::Molecule config) {
-        if (cat.rotatable_determinant(config) > containers) return;
+        if (config.determinant() > containers) return;
         if (i == demands.size()) {
           const double b = policy.benefit(config, demands);
           if (b > best_benefit) {
@@ -82,10 +95,10 @@ atom::Molecule exhaustive_target(const SelectionPolicy& policy,
           return;
         }
         recurse(i + 1, config);  // software execution for SI i
-        for (const auto& opt : lib.at(demands[i].si_index).options())
-          recurse(i + 1, config.unite(cat.project_rotatable(opt.atoms)));
+        for (const auto& projected : lib.rotatable_options(demands[i].si_index))
+          recurse(i + 1, config.unite(projected));
       };
-  recurse(0, cat.zero());
+  recurse(0, lib.catalog().zero());
   return best;
 }
 

@@ -1,0 +1,263 @@
+/// Differential oracle for run-time Molecule selection. The selectors read
+/// the library's precomputed rotatable projections and build no Molecule
+/// per candidate; the reference below is the straightforward formulation
+/// that re-projects every option on every use. Over random and generated
+/// libraries, both must agree exactly: every plan step (gain compared with
+/// ==, not a tolerance), every target, every benefit value.
+
+#include <gtest/gtest.h>
+
+#include <functional>
+#include <string>
+#include <vector>
+
+#include "genlib_fixture.hpp"
+#include "random_library.hpp"
+#include "rispp/isa/io.hpp"
+#include "rispp/rt/selection.hpp"
+#include "rispp/util/rng.hpp"
+
+namespace {
+
+using namespace rispp::rt;
+using rispp::atom::Molecule;
+using rispp::isa::SiLibrary;
+
+// --- reference: projection per call -------------------------------------
+
+double ref_benefit(const SiLibrary& lib, const Molecule& config,
+                   const std::vector<ForecastDemand>& demands) {
+  const auto& cat = lib.catalog();
+  double total = 0.0;
+  for (const auto& d : demands) {
+    const auto& si = lib.at(d.si_index);
+    const auto cycles = si.cycles_with(config, cat);
+    total += d.weight() * static_cast<double>(si.software_cycles() - cycles);
+  }
+  return total;
+}
+
+SelectionPlan ref_greedy_plan(const SiLibrary& lib,
+                              const std::vector<ForecastDemand>& demands,
+                              std::uint64_t containers,
+                              const Molecule* limit) {
+  const auto& cat = lib.catalog();
+  SelectionPlan out;
+  out.target = cat.zero();
+
+  while (true) {
+    const auto used = cat.rotatable_determinant(out.target);
+    SelectionStep best;
+    bool found = false;
+
+    for (const auto& d : demands) {
+      if (d.weight() <= 0) continue;
+      const auto& si = lib.at(d.si_index);
+      const auto current = si.cycles_with(out.target, cat);
+      for (const auto& opt : si.options()) {
+        if (opt.cycles >= current) continue;
+        const auto need = cat.project_rotatable(
+            out.target.residual_to(cat.project_rotatable(opt.atoms)));
+        const auto k = need.determinant();
+        if (k == 0) continue;
+        if (used + k > containers) continue;
+        if (limit && !out.target.plus(need).leq(*limit)) continue;
+        const double gain =
+            d.weight() * static_cast<double>(current - opt.cycles) /
+            static_cast<double>(k);
+        if (!found || gain > best.gain_per_container) {
+          best = SelectionStep{
+              .si_index = d.si_index,
+              .additional = need,
+              .old_cycles = current,
+              .new_cycles = opt.cycles,
+              .gain_per_container = gain,
+              .task = d.task,
+          };
+          found = true;
+        }
+      }
+    }
+    if (!found) break;
+    out.target = out.target.plus(best.additional);
+    out.steps.push_back(best);
+  }
+  return out;
+}
+
+Molecule ref_exhaustive_target(const SiLibrary& lib,
+                               const std::vector<ForecastDemand>& demands,
+                               std::uint64_t containers) {
+  const auto& cat = lib.catalog();
+  auto best = cat.zero();
+  double best_benefit = 0.0;
+
+  std::function<void(std::size_t, Molecule)> recurse =
+      [&](std::size_t i, Molecule config) {
+        if (cat.rotatable_determinant(config) > containers) return;
+        if (i == demands.size()) {
+          const double b = ref_benefit(lib, config, demands);
+          if (b > best_benefit) {
+            best_benefit = b;
+            best = config;
+          }
+          return;
+        }
+        recurse(i + 1, config);
+        for (const auto& opt : lib.at(demands[i].si_index).options())
+          recurse(i + 1, config.unite(cat.project_rotatable(opt.atoms)));
+      };
+  recurse(0, cat.zero());
+  return best;
+}
+
+// --- comparison ---------------------------------------------------------
+
+void expect_same_plan(const SelectionPlan& got, const SelectionPlan& want,
+                      const std::string& where) {
+  SCOPED_TRACE(where);
+  EXPECT_EQ(got.target, want.target);
+  ASSERT_EQ(got.steps.size(), want.steps.size());
+  for (std::size_t s = 0; s < got.steps.size(); ++s) {
+    SCOPED_TRACE("step " + std::to_string(s));
+    const auto& g = got.steps[s];
+    const auto& w = want.steps[s];
+    EXPECT_EQ(g.si_index, w.si_index);
+    EXPECT_EQ(g.additional, w.additional);
+    EXPECT_EQ(g.old_cycles, w.old_cycles);
+    EXPECT_EQ(g.new_cycles, w.new_cycles);
+    EXPECT_TRUE(g.gain_per_container == w.gain_per_container)
+        << g.gain_per_container << " vs " << w.gain_per_container;
+    EXPECT_EQ(g.task, w.task);
+  }
+}
+
+/// Demand sets over `lib`: every SI, a random subset, a duplicate entry and
+/// zero or negative-weight entries, with fractional weights so that any
+/// change in summation order would show in the low bits.
+std::vector<std::vector<ForecastDemand>> demand_sets(
+    const SiLibrary& lib, rispp::util::Xoshiro256& rng) {
+  const double probabilities[] = {1.0, 0.5, 0.3, 0.9};
+  auto draw = [&](std::size_t si) {
+    return ForecastDemand{
+        .si_index = si,
+        .expected_executions =
+            static_cast<double>(rng.below(2000)) / 7.0,
+        .probability = probabilities[rng.below(4)],
+        .task = static_cast<int>(rng.below(5)) - 1};
+  };
+  std::vector<std::vector<ForecastDemand>> sets(4);
+  for (std::size_t s = 0; s < lib.size(); ++s) {
+    sets[0].push_back(draw(s));
+    if (rng.below(2) == 0) sets[1].push_back(draw(s));
+  }
+  sets[2] = sets[0];
+  sets[2].push_back(draw(rng.below(lib.size())));
+  sets[3] = sets[0];
+  sets[3][rng.below(lib.size())].expected_executions = 0.0;
+  return sets;
+}
+
+/// Exhaustive search enumerates Π (options + 1) configurations; keep the
+/// oracle to instances where that stays small.
+bool exhaustive_tractable(const SiLibrary& lib,
+                          const std::vector<ForecastDemand>& demands) {
+  std::uint64_t configs = 1;
+  for (const auto& d : demands) {
+    configs *= lib.at(d.si_index).options().size() + 1;
+    if (configs > 4096) return false;
+  }
+  return true;
+}
+
+/// A random Molecule of the library's dimension, static components included
+/// (benefit() must ignore them the way the projection does).
+Molecule random_config(const SiLibrary& lib, rispp::util::Xoshiro256& rng) {
+  Molecule m(lib.catalog().size());
+  for (std::size_t a = 0; a < m.dimension(); ++a)
+    m.set(a, static_cast<rispp::atom::Count>(rng.below(5)));
+  return m;
+}
+
+void check_projection_table(const SiLibrary& lib) {
+  const auto& cat = lib.catalog();
+  for (std::size_t si = 0; si < lib.size(); ++si) {
+    const auto& options = lib.at(si).options();
+    const auto projected = lib.rotatable_options(si);
+    ASSERT_EQ(projected.size(), options.size());
+    for (std::size_t k = 0; k < options.size(); ++k)
+      EXPECT_EQ(projected[k], cat.project_rotatable(options[k].atoms))
+          << lib.at(si).name() << " option " << k;
+  }
+}
+
+void check_library(const SiLibrary& lib, std::uint64_t seed) {
+  check_projection_table(lib);
+  check_projection_table(
+      rispp::isa::parse_si_library(rispp::isa::write_si_library(lib)));
+
+  rispp::util::Xoshiro256 rng(seed);
+  const GreedySelector greedy(lib);
+  const ExhaustiveSelector exhaustive(lib);
+
+  for (int trial = 0; trial < 16; ++trial) {
+    const auto config = random_config(lib, rng);
+    for (std::size_t si = 0; si < lib.size(); ++si)
+      EXPECT_EQ(lib.cycles_with(si, config),
+                lib.at(si).cycles_with(config, lib.catalog()));
+  }
+
+  const auto sets = demand_sets(lib, rng);
+  for (std::size_t set = 0; set < sets.size(); ++set) {
+    const auto& demands = sets[set];
+    for (std::uint64_t budget = 0; budget <= 12; ++budget) {
+      const auto where =
+          "demand set " + std::to_string(set) + ", budget " +
+          std::to_string(budget);
+      const auto plan = greedy.plan(demands, budget);
+      expect_same_plan(plan, ref_greedy_plan(lib, demands, budget, nullptr),
+                       "greedy, " + where);
+
+      for (const auto& config : {plan.target, random_config(lib, rng)})
+        EXPECT_TRUE(greedy.benefit(config, demands) ==
+                    ref_benefit(lib, config, demands))
+            << where;
+
+      if (!exhaustive_tractable(lib, demands)) continue;
+      const auto target = ref_exhaustive_target(lib, demands, budget);
+      EXPECT_EQ(greedy.exhaustive(demands, budget).target, target) << where;
+      auto want = ref_greedy_plan(lib, demands, budget, &target);
+      want.target = target;
+      expect_same_plan(exhaustive.plan(demands, budget), want,
+                       "exhaustive, " + where);
+    }
+  }
+}
+
+class RandomLibraryOracle : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(RandomLibraryOracle, SelectionMatchesProjectionPerCallReference) {
+  rispp::util::Xoshiro256 rng(GetParam() * 2654435761u);
+  check_library(selection_fixture::random_library(rng), GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomLibraries, RandomLibraryOracle,
+                         ::testing::Range<std::uint64_t>(1, 41));
+
+class GeneratedLibraryOracle
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(GeneratedLibraryOracle, SelectionMatchesProjectionPerCallReference) {
+  SCOPED_TRACE("genlib " +
+               genlib_fixture::matrix_config(GetParam()).describe());
+  check_library(genlib_fixture::generated_library(GetParam()), GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(GeneratedLibraries, GeneratedLibraryOracle,
+                         ::testing::Range<std::uint64_t>(1, 41));
+
+TEST(SelectionOracle, H264FrameLibrary) {
+  check_library(SiLibrary::h264_frame(), 7);
+}
+
+}  // namespace
