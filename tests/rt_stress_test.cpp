@@ -15,6 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "rispp/rt/manager.hpp"
 #include "rispp/sim/simulator.hpp"
 #include "rispp/util/rng.hpp"
@@ -32,6 +34,14 @@ struct StressCase {
 };
 
 class RtStress : public ::testing::TestWithParam<StressCase> {};
+
+// Prints a case by its fields. The default would dump the raw bytes of
+// StressCase, which include the address of `library` and so change from one
+// process to the next; ctest names each case after this printout.
+void PrintTo(const StressCase& c, std::ostream* os) {
+  *os << c.library << " containers=" << c.containers
+      << " policy=" << to_policy_name(c.policy) << " seed=" << c.seed;
+}
 
 SiLibrary make_library(const std::string& name) {
   if (name == "h264") return SiLibrary::h264();
