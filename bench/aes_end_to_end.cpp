@@ -46,7 +46,6 @@ Aggregate run(const rispp::cfg::BBGraph& g, const rispp::forecast::FcPlan& plan,
         g, plan, borrow(lib), wp, &stats, "aes");
     rispp::sim::SimConfig cfg;
     cfg.rt.atom_containers = containers;
-    cfg.rt.record_events = false;
     rispp::sim::Simulator sim(borrow(lib), cfg);
     source->add_to(sim);
     const auto r = sim.run();

@@ -77,7 +77,6 @@ int main() {
   for (unsigned containers : {6u, 8u, 10u, 12u, 16u}) {
     rispp::sim::SimConfig cfg;
     cfg.rt.atom_containers = containers;
-    cfg.rt.record_events = false;
     rispp::sim::Simulator sim(borrow(lib), cfg);
     sim.add_task({"frame", rispp::h264::make_phase_trace(lib, p)});
     const auto r = sim.run();
@@ -103,7 +102,6 @@ int main() {
     params.lookahead = lookahead;
     rispp::sim::SimConfig cfg;
     cfg.rt.atom_containers = 10;
-    cfg.rt.record_events = false;
     rispp::sim::Simulator sim(borrow(lib), cfg);
     sim.add_task({"frame", rispp::h264::make_phase_trace(lib, params)});
     const auto r = sim.run();

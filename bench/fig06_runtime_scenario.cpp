@@ -16,7 +16,8 @@
 ///   T5  another container completes — SATD_4x4 upgrades to a faster
 ///       Molecule.
 ///
-/// The bench prints the simulator timeline and the manager's event trace.
+/// The bench prints the simulator timeline and a condensed view of the
+/// manager's obs::Event stream.
 
 #include <iostream>
 
@@ -43,13 +44,12 @@ int main(int argc, char** argv) try {
   cfg.rt.atom_containers = 6;
   cfg.quantum = 25000;
   const auto meta = make_trace_meta(lib, cfg, {"A", "B"});
-  // The recorder feeds the trace file, the profiler streams the run report;
-  // either can be absent without the other paying for it.
+  // The recorder feeds the condensed event table and the trace file; the
+  // profiler streams the run report only when one is asked for.
   rispp::obs::TraceRecorder recorder;
   rispp::obs::Profiler profiler(meta);
-  rispp::obs::TeeSink tee(trace_out ? &recorder : nullptr,
-                          report_out ? &profiler : nullptr);
-  if (trace_out || report_out) cfg.rt.sink = &tee;
+  rispp::obs::TeeSink tee(&recorder, report_out ? &profiler : nullptr);
+  cfg.rt.sink = &tee;
   Simulator sim(borrow(lib), cfg);
 
   Trace a;
@@ -89,26 +89,41 @@ int main(int argc, char** argv) try {
 
   // Condensed manager trace: forecasts, rotations, and the first execution
   // after each latency change (the SW→HW→faster-HW upgrades of T4/T5).
+  using rispp::obs::EventKind;
   TextTable events{"cycle", "event", "SI", "atom", "AC", "task", "cycles"};
   events.set_title("Run-time manager event trace (condensed)");
-  std::uint32_t last_cycles[16] = {0};
-  for (const auto& e : r.rt_events) {
-    const bool exec = e.kind == rispp::rt::RtEvent::Kind::ExecuteHw ||
-                      e.kind == rispp::rt::RtEvent::Kind::ExecuteSw;
-    if (exec) {
-      // Only print executions whose latency changed — the upgrade points.
-      if (last_cycles[e.si_index % 16] == e.cycles) continue;
-      last_cycles[e.si_index % 16] = e.cycles;
+  std::uint64_t last_cycles[16] = {0};
+  for (const auto& e : recorder.events()) {
+    auto at = e.at;
+    const char* label = nullptr;
+    switch (e.kind) {
+      case EventKind::ForecastSeen: label = "forecast"; break;
+      case EventKind::ForecastReleased: label = "forecast-release"; break;
+      case EventKind::RotationStarted:
+        label = "rotation-start";
+        at = e.prev_cycles;  // the booking cycle, not the transfer start
+        break;
+      case EventKind::RotationFinished: label = "rotation-done"; break;
+      case EventKind::RotationCancelled: label = "rotation-cancelled"; break;
+      case EventKind::RotationFailed: label = "rotation-failed"; break;
+      case EventKind::AcQuarantined: label = "ac-quarantined"; break;
+      case EventKind::SiExecuted:
+        // Only print executions whose latency changed — the upgrade points.
+        if (last_cycles[e.si % 16] == e.cycles) continue;
+        last_cycles[e.si % 16] = e.cycles;
+        label = e.hardware ? "execute-hw" : "execute-sw";
+        break;
+      default: continue;  // task switches, evictions, upgrade markers
     }
-    if (e.kind == rispp::rt::RtEvent::Kind::Reallocation) continue;
     events.add_row({
-        TextTable::grouped(static_cast<long long>(e.at)),
-        rispp::rt::to_string(e.kind),
-        e.si_index < lib.size() ? lib.at(e.si_index).name() : "-",
-        e.atom_kind ? lib.catalog().at(*e.atom_kind).name : "-",
-        e.container ? std::to_string(*e.container) : "-",
+        TextTable::grouped(static_cast<long long>(at)),
+        label,
+        e.si >= 0 ? lib.at(static_cast<std::size_t>(e.si)).name() : "-",
+        e.atom >= 0 ? lib.catalog().at(static_cast<std::size_t>(e.atom)).name
+                    : "-",
+        e.container >= 0 ? std::to_string(e.container) : "-",
         e.task >= 0 ? std::string(1, static_cast<char>('A' + e.task)) : "-",
-        e.cycles ? std::to_string(e.cycles) : "-",
+        e.kind == EventKind::SiExecuted ? std::to_string(e.cycles) : "-",
     });
   }
   std::cout << events.str() << "\n";

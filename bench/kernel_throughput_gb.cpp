@@ -73,7 +73,6 @@ void BM_SiDispatch(benchmark::State& state) {
   const auto lib = rispp::isa::SiLibrary::h264();
   rispp::rt::RtConfig cfg;
   cfg.atom_containers = 4;
-  cfg.record_events = false;
   rispp::rt::RisppManager mgr(borrow(lib), cfg);
   const auto satd = lib.index_of("SATD_4x4");
   mgr.forecast(satd, 1e6, 1.0, 0);

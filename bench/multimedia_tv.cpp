@@ -28,7 +28,6 @@ RunResult run(const rispp::isa::SiLibrary& lib, bool encoder, bool decoder,
               std::uint64_t mbs) {
   rispp::sim::SimConfig cfg;
   cfg.rt.atom_containers = containers;
-  cfg.rt.record_events = false;
   cfg.quantum = 30000;
   rispp::sim::Simulator sim(borrow(lib), cfg);
   rispp::h264::PhaseTraceParams p;

@@ -6,7 +6,8 @@
 /// and a live obs::Profiler (emission + cycle attribution) — and reports
 /// the wall-clock deltas. The profiler's marginal cost over the null sink
 /// is the number the budget constrains. Results go to stdout and
-/// BENCH_profiler.json.
+/// BENCH_profiler.json; the exit status is non-zero when that overhead
+/// exceeds the budget the JSON records.
 
 #include <algorithm>
 #include <chrono>
@@ -21,6 +22,9 @@
 #include "rispp/util/table.hpp"
 
 namespace {
+
+/// Marginal cost of the profiler over the null sink, in percent.
+constexpr double kBudgetPct = 2.0;
 
 struct NullSink final : rispp::obs::EventSink {
   void on_event(const rispp::obs::Event&) override {}
@@ -118,8 +122,8 @@ int main(int argc, char** argv) try {
              TextTable::num(profiler_pct, 2) + "% vs null sink"});
   std::cout << t.str();
   std::cout << "Events profiled per run: " << report.counts.events
-            << "; tracing budget: < 2% marginal cost for the profiler over "
-               "the null sink.\n";
+            << "; tracing budget: < " << kBudgetPct
+            << "% marginal cost for the profiler over the null sink.\n";
 
   std::ofstream json(out_path);
   json << "{\n"
@@ -133,9 +137,14 @@ int main(int argc, char** argv) try {
        << "  \"profiler_ms\": " << prof_ms << ",\n"
        << "  \"emission_overhead_pct\": " << emission_pct << ",\n"
        << "  \"profiler_overhead_pct\": " << profiler_pct << ",\n"
-       << "  \"budget_pct\": 2.0\n"
+       << "  \"budget_pct\": " << kBudgetPct << "\n"
        << "}\n";
   std::cout << "Wrote " << out_path << "\n";
+  if (profiler_pct > kBudgetPct) {
+    std::cerr << "error: profiler overhead " << profiler_pct
+              << "% exceeds the " << kBudgetPct << "% budget\n";
+    return 1;
+  }
   return 0;
 } catch (const std::exception& e) {
   std::cerr << "error: " << e.what() << "\n";

@@ -70,7 +70,6 @@ int main() {
   // --- run 2: the same binary on the RISPP platform ---
   rispp::rt::RtConfig cfg;
   cfg.atom_containers = 4;
-  cfg.record_events = false;
   rispp::rt::RisppManager manager(borrow(lib), cfg);
   rispp::dlx::Cpu rispp_core(lib, &manager);
   rispp_core.load(program);

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <utility>
 
 #include "rispp/h264/phases.hpp"
@@ -142,6 +143,17 @@ bool has_lib_axes(const SweepPoint& point) {
   return false;
 }
 
+/// A u64 axis narrowed to `unsigned` — rejected when it does not fit rather
+/// than wrapped, so retries=4294967296 cannot silently mean zero retries.
+unsigned get_unsigned(const SweepPoint& point, const std::string& key,
+                      unsigned fallback) {
+  const auto value = point.get_u64(key, fallback);
+  RISPP_REQUIRE(value <= std::numeric_limits<unsigned>::max(),
+                key + " must be at most " +
+                    std::to_string(std::numeric_limits<unsigned>::max()));
+  return static_cast<unsigned>(value);
+}
+
 /// Builds (and validates) the per-point generator config from the lib_*
 /// axes. Called from sim_config_for so a bad axis value fails in --dry-run
 /// validation, before any worker generates anything.
@@ -159,8 +171,7 @@ isa::GeneratorConfig generator_config_for(const SweepPoint& point) {
     cfg.bitstream = isa::Distribution::parse(*spec);
   if (const auto* spec = point.find("lib_speedup"))
     cfg.speedup = isa::Distribution::parse(*spec);
-  cfg.max_count =
-      static_cast<atom::Count>(point.get_u64("lib_max_count", 4));
+  cfg.max_count = get_unsigned(point, "lib_max_count", 4);
   cfg.validate();
   return cfg;
 }
@@ -182,8 +193,7 @@ workload::GeneratedWorkloadParams generated_params_for(
 
 sim::SimConfig sim_config_for(const SweepPoint& point) {
   sim::SimConfig cfg;
-  cfg.rt.atom_containers =
-      static_cast<unsigned>(point.get_u64("containers", 10));
+  cfg.rt.atom_containers = get_unsigned(point, "containers", 10);
   cfg.rt.selection_policy = point.get("selector", "greedy");
   cfg.rt.replacement_policy = point.get("replacement", "lru");
   cfg.rt.rotation_cost_factor = point.get_f64("cost_factor", 0.0);
@@ -201,10 +211,8 @@ sim::SimConfig sim_config_for(const SweepPoint& point) {
         point.get_f64("fault_p", 0.0), point.get_f64("fault_poison", 0.0),
         point.get_f64("fault_degrade", 0.0),
         point.get_f64("fault_stretch", 2.0));
-  cfg.rt.max_rotation_retries =
-      static_cast<unsigned>(point.get_u64("retries", 3));
+  cfg.rt.max_rotation_retries = get_unsigned(point, "retries", 3);
   cfg.rt.retry_backoff_cycles = point.get_u64("backoff", 1000);
-  cfg.rt.record_events = false;  // sweeps run many points; traces are huge
   cfg.quantum = point.get_u64("quantum", 10000);
   cfg.driving = sim::parse_driving(point.get("driving", "wakeups"));
 

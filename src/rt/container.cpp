@@ -1,11 +1,27 @@
 #include "rispp/rt/container.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "rispp/rt/policy.hpp"
 #include "rispp/util/error.hpp"
 
 namespace rispp::rt {
+
+namespace {
+
+/// failed_at + (base << shift), saturating at the largest Cycle instead of
+/// wrapping: the base comes straight from configuration (a sweep's backoff
+/// axis takes any u64), and a larger base must never yield a shorter
+/// window.
+Cycle backoff_until(Cycle failed_at, Cycle base, unsigned shift) {
+  constexpr Cycle kMax = std::numeric_limits<Cycle>::max();
+  if (base > (kMax >> shift)) return kMax;
+  const Cycle window = base << shift;
+  return window > kMax - failed_at ? kMax : failed_at + window;
+}
+
+}  // namespace
 
 ContainerFile::ContainerFile(unsigned count, const isa::AtomCatalog& catalog)
     : catalog_(&catalog), committed_(catalog.size()), usable_(catalog.size()) {
@@ -118,10 +134,10 @@ bool ContainerFile::on_rotation_failed(unsigned c, std::size_t atom_kind,
     ac.quarantined = true;
     return true;
   }
-  // Capped exponential backoff: base << (streak-1), capped so the shift
-  // never overflows; streak >= 1 here.
+  // Capped exponential backoff: base << (streak-1), with the exponent
+  // capped at 16 and the window saturated; streak >= 1 here.
   const unsigned shift = std::min(ac.fail_streak - 1, 16u);
-  ac.blocked_until = failed_at + (retry_backoff_cycles << shift);
+  ac.blocked_until = backoff_until(failed_at, retry_backoff_cycles, shift);
   return false;
 }
 
@@ -187,47 +203,6 @@ std::vector<VictimCandidate> ContainerFile::victim_candidates(
     });
   }
   return out;
-}
-
-std::optional<unsigned> ContainerFile::choose_victim(
-    const atom::Molecule& target, Cycle now, VictimPolicy policy) const {
-  // Empty containers first.
-  for (const auto& c : containers_)
-    if (!c.atom && !c.loading && !c.blocked(now)) return c.id;
-
-  const auto candidates = victim_candidates(target, now);
-  if (candidates.empty()) return std::nullopt;
-
-  const VictimCandidate* chosen = nullptr;
-  switch (policy) {
-    case VictimPolicy::LruExcess:
-      for (const auto& c : candidates)
-        if (!chosen || c.last_used < chosen->last_used) chosen = &c;
-      break;
-    case VictimPolicy::MruExcess:
-      for (const auto& c : candidates)
-        if (!chosen || c.last_used > chosen->last_used) chosen = &c;
-      break;
-    case VictimPolicy::RoundRobinExcess:
-      // Rotating cursor: first expendable container at or past the cursor,
-      // wrapping to the lowest id, so successive evictions round-robin.
-      for (const auto& c : candidates)
-        if (c.container >= rr_cursor_) {
-          chosen = &c;
-          break;
-        }
-      if (!chosen) chosen = &candidates.front();
-      rr_cursor_ = chosen->container + 1;
-      break;
-  }
-  return chosen->container;
-}
-
-std::optional<unsigned> ContainerFile::choose_victim(
-    const atom::Molecule& target, Cycle now, ReplacementPolicy& policy) const {
-  return choose_victim_with(
-      target, now,
-      [&](const std::vector<VictimCandidate>& c) { return policy.pick(c); });
 }
 
 }  // namespace rispp::rt

@@ -27,18 +27,7 @@ namespace rispp::rt {
 using Cycle = std::uint64_t;
 constexpr int kNoTask = -1;
 
-/// Which expendable container a new rotation replaces. Candidates are
-/// always restricted to containers whose committed content exceeds the
-/// target configuration (needed atoms are never evicted); the policy picks
-/// among them.
-enum class VictimPolicy {
-  LruExcess,        ///< least-recently-used excess container (default)
-  MruExcess,        ///< most-recently-used — an adversarial anti-policy
-  RoundRobinExcess, ///< rotating cursor over container ids
-};
-
-class ReplacementPolicy;  // policy.hpp
-struct VictimCandidate;   // policy.hpp
+struct VictimCandidate;  // policy.hpp
 
 struct AtomContainer {
   unsigned id = 0;
@@ -121,7 +110,8 @@ class ContainerFile {
   /// Retire a rotation whose transfer ended Failed/Poisoned at `failed_at`:
   /// the container ends empty (nothing usable landed), its fail streak
   /// grows, and it either enters a capped-exponential backoff window
-  /// (`retry_backoff_cycles << min(streak-1, 16)`) or — when the streak
+  /// (`retry_backoff_cycles << min(streak-1, 16)`, saturating at the
+  /// largest Cycle rather than wrapping) or — when the streak
   /// exceeds `max_retries` — is quarantined for good. Returns true when
   /// this failure quarantined the container. Must be called before the
   /// refresh() that would otherwise promote the poisoned load.
@@ -142,31 +132,20 @@ class ContainerFile {
   std::optional<Cycle> next_unblock_after(Cycle t) const;
 
   /// Pick the container to sacrifice for a new rotation: prefer empty, then
-  /// an excess container per `policy`. Returns nullopt when every container
-  /// is needed by `target` (or busy with an in-flight transfer, or blocked
-  /// by fault backoff/quarantine).
-  std::optional<unsigned> choose_victim(
-      const atom::Molecule& target, Cycle now,
-      VictimPolicy policy = VictimPolicy::LruExcess) const;
-
-  /// Same contract, but the victim among expendable candidates is picked by
-  /// a ReplacementPolicy strategy object (see policy.hpp).
+  /// the expendable candidate `policy.pick()` chooses. `policy` is anything
+  /// with ReplacementPolicy's pick(): a strategy object (policy.hpp) or the
+  /// kernel's devirtualized ReplacementDispatch, so the built-in policies
+  /// decide without a virtual call. Returns nullopt when every container is
+  /// needed by `target` (or busy with an in-flight transfer, or blocked by
+  /// fault backoff/quarantine).
+  template <typename Policy>
   std::optional<unsigned> choose_victim(const atom::Molecule& target,
-                                        Cycle now,
-                                        ReplacementPolicy& policy) const;
-
-  /// Same contract again, picking through an arbitrary callable over the
-  /// candidate list. The reallocation kernel passes its devirtualized
-  /// ReplacementDispatch through here, so the whole victim decision runs
-  /// without a virtual call for the built-in policies.
-  template <typename Pick>
-  std::optional<unsigned> choose_victim_with(const atom::Molecule& target,
-                                             Cycle now, Pick&& pick) const {
+                                        Cycle now, Policy&& policy) const {
     for (const auto& c : containers_)
       if (!c.atom && !c.loading && !c.blocked(now)) return c.id;
     const auto candidates = victim_candidates(target, now);
     if (candidates.empty()) return std::nullopt;
-    return pick(candidates);
+    return policy.pick(candidates);
   }
 
  private:
@@ -186,9 +165,6 @@ class ContainerFile {
   /// one manager owns one file — so plain members are fine).
   mutable std::vector<unsigned> touch_order_;
   mutable std::vector<atom::Count> touch_remaining_;
-  /// Cursor for the legacy VictimPolicy::RoundRobinExcess path; the
-  /// policy-object path keeps its cursor inside RoundRobinReplacement.
-  mutable unsigned rr_cursor_ = 0;
 };
 
 }  // namespace rispp::rt

@@ -16,10 +16,9 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <memory>
 #include <string>
 #include <vector>
-
-#include <memory>
 
 #include "rispp/forecast/forecast_pass.hpp"
 #include "rispp/hw/fault.hpp"
@@ -50,31 +49,20 @@ struct RtConfig {
   unsigned max_rotation_retries = 3;
   /// Base retry backoff after a failed load, in cycles: the container is
   /// blocked for retry_backoff_cycles << min(streak-1, 16) after its
-  /// streak-th consecutive failure (capped exponential backoff).
+  /// streak-th consecutive failure (capped exponential backoff, saturating
+  /// at the largest cycle instead of wrapping).
   Cycle retry_backoff_cycles = 1000;
   /// EWMA factor for blending observed executions into the forecast
   /// expectations (monitoring task (a)); 0 disables learning.
   double learning_rate = 0.5;
   /// Power model for the energy meter (execution / rotation / leakage).
   PowerModel power{};
-  /// Legacy replacement knob, deprecated behind the string-keyed factory:
-  /// set `replacement_policy` to "lru" / "mru" / "round-robin" instead.
-  /// Honoured (via to_policy_name) only while `replacement_policy` is
-  /// empty; covered by the enum→key shim test in rt_policy_test.
-  [[deprecated(
-      "set RtConfig::replacement_policy to a factory key (\"lru\", \"mru\", "
-      "\"round-robin\") instead of the VictimPolicy enum")]]
-  void set_victim_policy(VictimPolicy p) { victim_policy_ = p; }
-  /// Read side of the legacy knob — the enum→key shim (manager ctor,
-  /// validate()) resolves it while `replacement_policy` is empty.
-  VictimPolicy legacy_victim_policy() const { return victim_policy_; }
   /// Molecule selection policy, by factory key ("greedy", "exhaustive", or
   /// a custom registration — see policy.hpp).
   std::string selection_policy = "greedy";
   /// Rotation-victim replacement policy, by factory key ("lru", "mru",
-  /// "round-robin", or a custom registration). Empty = derive from the
-  /// legacy `victim_policy` enum.
-  std::string replacement_policy;
+  /// "round-robin", or a custom registration).
+  std::string replacement_policy = "lru";
   /// Cancel queued (not yet started) transfers that a reallocation made
   /// stale — the port slot is wasted but the container frees immediately
   /// and the stale atom never loads. Default off (the prototype's
@@ -87,42 +75,13 @@ struct RtConfig {
   /// demands appear between releases; bench/ablation_monitoring shows the
   /// effect.
   double rotation_cost_factor = 0.0;
-  /// Record a structured event trace (Fig 6 timelines); benches running
-  /// millions of SIs switch this off.
-  bool record_events = true;
   /// Observability sink (non-owning). When set, the manager streams typed
   /// obs::Events (forecasts, rotations, evictions, executions, Molecule
-  /// upgrades) through it; when null, every emission site is one dead
-  /// branch, so the disabled path costs nothing.
+  /// upgrades) through it — the kernel's only event record; when null,
+  /// every emission site is one dead branch, so the disabled path costs
+  /// nothing.
   obs::EventSink* sink = nullptr;
-
- private:
-  VictimPolicy victim_policy_ = VictimPolicy::LruExcess;
 };
-
-struct RtEvent {
-  enum class Kind {
-    Forecast,
-    ForecastRelease,
-    Reallocation,
-    RotationStart,
-    RotationDone,
-    RotationCancelled,
-    RotationFailed,
-    AcQuarantined,
-    ExecuteHw,
-    ExecuteSw,
-  };
-  Cycle at = 0;
-  Kind kind{};
-  std::size_t si_index = static_cast<std::size_t>(-1);
-  std::optional<std::size_t> atom_kind;
-  std::optional<unsigned> container;
-  int task = kNoTask;
-  std::uint32_t cycles = 0;  ///< execution latency for Execute* events
-};
-
-const char* to_string(RtEvent::Kind k);
 
 /// Validates an RtConfig before anything is built from it: unknown
 /// selection/replacement factory keys throw util::Error (PreconditionError)
@@ -138,14 +97,6 @@ class RisppManager {
   /// different threads may hold the same snapshot, and the library cannot
   /// be destroyed while any of them is alive.
   RisppManager(std::shared_ptr<const isa::SiLibrary> lib, RtConfig cfg);
-
-  /// Deprecated lifetime trap: binds to a library the *caller* must keep
-  /// alive (wrapped internally in a non-owning aliasing shared_ptr). Kept
-  /// for source compatibility with the seed API.
-  [[deprecated(
-      "pass std::shared_ptr<const isa::SiLibrary> so the manager shares "
-      "ownership of the library snapshot")]]
-  RisppManager(const isa::SiLibrary& lib, RtConfig cfg);
 
   /// --- forecast interface (§5a) -------------------------------------
   /// An FC for `si` fires: the SI is expected `expected_executions` times
@@ -230,14 +181,6 @@ class RisppManager {
   const ReplacementPolicy& replacement_policy() const {
     return replacer_.policy();
   }
-  /// The recorded RtEvent log. Cancellations tombstone their pre-recorded
-  /// RotationDone entries instead of erasing them in place; this accessor
-  /// compacts lazily, so the caller always sees the erased view while the
-  /// cancel path itself stays O(1) per cancellation.
-  const std::vector<RtEvent>& events() const {
-    compact_events();
-    return events_;
-  }
   const util::Counters& counters() const { return counters_; }
   std::uint64_t rotations_performed() const {
     return rotations_.rotations_performed();
@@ -282,10 +225,6 @@ class RisppManager {
   /// load is never promoted to a usable Atom. A dead branch with the
   /// default none() fault model.
   void process_failures(Cycle now);
-  void record(RtEvent e);
-  /// Drop tombstoned events_ entries (stable order) and remap the indices
-  /// pending_dones_ remembers. Called lazily from events().
-  void compact_events() const;
 
   std::shared_ptr<const isa::SiLibrary> lib_;
   RtConfig cfg_;
@@ -328,24 +267,6 @@ class RisppManager {
   /// must be re-issued (or planned around), so the plan is stale even
   /// though no generation bump or completion marks it so.
   bool failed_since_plan_ = false;
-
-  /// Index of every recorded-but-not-yet-reached RotationDone event, so a
-  /// cancellation finds its entry by position instead of scanning all of
-  /// events_. Indices refer to events_ *with tombstones still in place*
-  /// (positions are stable until compact_events() remaps them).
-  struct PendingDone {
-    unsigned container = 0;
-    Cycle done = 0;
-    std::size_t event_index = 0;
-  };
-  mutable std::vector<PendingDone> pending_dones_;
-
-  /// Recorded log plus the tombstone side-list: cancelling a pre-recorded
-  /// RotationDone marks its index dead (O(1)) instead of erasing mid-vector
-  /// (O(n) shift + O(n) index fixup in the seed). events() compacts
-  /// lazily — mutable so the accessor can stay const.
-  mutable std::vector<RtEvent> events_;
-  mutable std::vector<std::size_t> dead_events_;
 
   /// --- execute() fast path --------------------------------------------
   /// Per-SI memo of the winning Molecule option (an index into options()

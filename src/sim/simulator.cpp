@@ -48,14 +48,6 @@ Simulator::Simulator(std::shared_ptr<const isa::SiLibrary> lib, SimConfig cfg)
   RISPP_REQUIRE(cfg.quantum > 0, "quantum must be positive");
 }
 
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-Simulator::Simulator(const isa::SiLibrary& lib, SimConfig cfg)
-    : Simulator(std::shared_ptr<const isa::SiLibrary>(
-                    std::shared_ptr<const isa::SiLibrary>{}, &lib),
-                std::move(cfg)) {}
-#pragma GCC diagnostic pop
-
 void Simulator::add_task(TaskDef task) {
   RISPP_REQUIRE(!task.name.empty(), "task needs a name");
   for (const auto& op : task.trace)
@@ -225,7 +217,6 @@ SimResult Simulator::run() {
   for (std::size_t i = 0; i < si_stats.size(); ++i)
     if (si_stats[i].invocations > 0)
       result.per_si[lib_->at(i).name()] = si_stats[i];
-  result.rt_events = manager_.events();
   result.rotations = manager_.rotations_performed();
   manager_.poll(now_);  // settle leakage integration up to the end of time
   manager_.flush_events();  // batched emissions reach the sink before return

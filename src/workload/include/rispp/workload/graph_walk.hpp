@@ -44,27 +44,13 @@ struct WalkStats {
 };
 
 namespace detail {
-/// The walk itself — shared by the deprecated free function below and
-/// TraceSource::make_graph_walk. Not a public entry point.
+/// Walks `g` from its entry and builds the corresponding trace. Adjacent
+/// compute contributions are merged so the trace stays compact. Not a
+/// public entry point: construct the walk through the unified producer seam,
+/// `TraceSource::make_graph_walk(...)` (trace_source.hpp).
 sim::Trace run_walk(const cfg::BBGraph& g, const forecast::FcPlan& plan,
                     const isa::SiLibrary& lib, const WalkParams& params,
                     WalkStats* stats);
 }  // namespace detail
-
-/// Walks `g` from its entry and builds the corresponding trace. Adjacent
-/// compute contributions are merged so the trace stays compact.
-///
-/// Deprecated: construct the walk through the unified producer seam —
-/// `TraceSource::make_graph_walk(...)` (trace_source.hpp) — which every
-/// bench and the experiment evaluator consume uniformly. This shim stays
-/// for source compatibility and forwards unchanged.
-[[deprecated("use workload::TraceSource::make_graph_walk instead")]]
-inline sim::Trace walk_graph(const cfg::BBGraph& g,
-                             const forecast::FcPlan& plan,
-                             const isa::SiLibrary& lib,
-                             const WalkParams& params,
-                             WalkStats* stats = nullptr) {
-  return detail::run_walk(g, plan, lib, params, stats);
-}
 
 }  // namespace rispp::workload

@@ -1,7 +1,6 @@
 /// Experiment-engine tests: deterministic sweep plans and per-point seeds,
 /// byte-identical ResultTables at any worker count, thread-safe sharing of
-/// one immutable Platform, up-front plan validation, and the deprecated
-/// session-API shims.
+/// one immutable Platform, and up-front plan validation.
 
 #include <gtest/gtest.h>
 
@@ -295,6 +294,29 @@ TEST(StandardEval, SweepValidationFailsFastOnTypos) {
   Sweep good;
   good.axis("workload", {"enc"}).axis("replacement", {"lru", "mru"});
   EXPECT_NO_THROW(validate_sim_sweep(good));
+}
+
+TEST(StandardEval, OutOfRangeUnsignedAxesAreRejectedNotNarrowed) {
+  // 2^32 retries used to narrow to 0 — a silent "quarantine on the first
+  // failure" — and 2^32 + 1 containers or lib_max_count to 1.
+  Sweep retries;
+  retries.axis("retries", {"3", "4294967296"});
+  try {
+    validate_sim_sweep(retries);
+    FAIL() << "expected PreconditionError";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("retries"), std::string::npos);
+  }
+  Sweep containers;
+  containers.axis("containers", {"4294967297"});
+  EXPECT_THROW(validate_sim_sweep(containers), PreconditionError);
+  Sweep max_count;
+  max_count.axis("workload", {"generated"})
+      .axis("lib_max_count", {"4294967297"});
+  EXPECT_THROW(validate_sim_sweep(max_count), PreconditionError);
+  Sweep largest;
+  largest.axis("retries", {"4294967295"});
+  EXPECT_NO_THROW(validate_sim_sweep(largest));
 }
 
 TEST(StandardEval, JitterDrawsFromThePointSeed) {

@@ -7,8 +7,8 @@
 ///   I2  a hardware execution's Molecule is implementable from the Atoms
 ///       available at that cycle (no execution on a failed/poisoned load)
 ///   I3  the platform clock only moves forward (wakeups are monotone)
-///   I4  every issued rotation reaches exactly one terminal state:
-///       Done, Cancelled, or Failed
+///   I4  every issued rotation closes in the event stream: Finished or
+///       Failed, or Cancelled while still queued (rotation_lifecycle.hpp)
 ///   I5  every SI is always executable — hardware or software fallback
 ///
 /// The zero-fault differential (FaultModel::none() byte-identical to the
@@ -21,6 +21,7 @@
 #include "rispp/rt/manager.hpp"
 #include "rispp/sim/simulator.hpp"
 #include "rispp/util/rng.hpp"
+#include "rotation_lifecycle.hpp"
 
 namespace {
 
@@ -29,7 +30,6 @@ using rispp::isa::borrow;
 using rispp::rt::Cycle;
 using rispp::rt::RisppManager;
 using rispp::rt::RtConfig;
-using rispp::rt::RtEvent;
 
 /// I1 + I5 and bookkeeping sanity, checked after every kernel op.
 void check_platform_invariants(RisppManager& mgr, Cycle now) {
@@ -41,20 +41,6 @@ void check_platform_invariants(RisppManager& mgr, Cycle now) {
   // are committed but not yet available).
   ASSERT_TRUE(mgr.available_atoms(now).leq(mgr.committed_atoms()))
       << "available atoms not covered by the committed view at " << now;
-}
-
-/// I4, checked once a run is fully drained.
-void check_rotation_lifecycle(const std::vector<RtEvent>& events) {
-  std::uint64_t starts = 0, terminal = 0;
-  for (const auto& e : events) {
-    if (e.kind == RtEvent::Kind::RotationStart) ++starts;
-    if (e.kind == RtEvent::Kind::RotationDone ||
-        e.kind == RtEvent::Kind::RotationCancelled ||
-        e.kind == RtEvent::Kind::RotationFailed)
-      ++terminal;
-  }
-  EXPECT_EQ(starts, terminal)
-      << "I4: a rotation was issued but never reached Done/Cancelled/Failed";
 }
 
 /// Polls the manager at every wakeup until it settles; asserts I3 along the
@@ -89,6 +75,8 @@ void run_randomized(std::uint64_t seed, double p_fail, double p_poison,
       FaultModel::probabilistic(seed, p_fail, p_poison, p_degrade, 2.0);
   cfg.max_rotation_retries = retries;
   cfg.retry_backoff_cycles = 500;
+  rispp::obs::TraceRecorder recorder;
+  cfg.sink = &recorder;
   RisppManager mgr(borrow(lib), cfg);
   rispp::util::Xoshiro256 rng(seed ^ 0x9e3779b97f4a7c15ull);
 
@@ -132,7 +120,7 @@ void run_randomized(std::uint64_t seed, double p_fail, double p_poison,
   }
 
   const auto end = drain(mgr, now);
-  check_rotation_lifecycle(mgr.events());
+  rotation_lifecycle::expect_closed(mgr, recorder);  // I4
 
   // I5 after everything settled: every SI in the library still executes,
   // however many containers the fault schedule quarantined.
@@ -164,6 +152,8 @@ TEST(FaultInvariants, DegradationOnlyNeverFailsARotation) {
   RtConfig cfg;
   cfg.atom_containers = 6;
   cfg.faults = FaultModel::probabilistic(7, 0.0, 0.0, 0.5, 3.0);
+  rispp::obs::TraceRecorder recorder;
+  cfg.sink = &recorder;
   RisppManager mgr(borrow(lib), cfg);
   mgr.forecast(lib.index_of("SATD_4x4"), 5000, 1.0, 0);
   const auto end = drain(mgr, 0);
@@ -171,11 +161,11 @@ TEST(FaultInvariants, DegradationOnlyNeverFailsARotation) {
   EXPECT_EQ(mgr.counters().get("acs_quarantined"), 0u);
   // Stretched transfers still commit: the SI reaches hardware eventually.
   EXPECT_TRUE(mgr.execute(lib.index_of("SATD_4x4"), end + 1).hardware);
-  check_rotation_lifecycle(mgr.events());
+  rotation_lifecycle::expect_closed(mgr, recorder);
 }
 
 /// The fig06 two-task scenario on the full simulator, under a seeded fault
-/// schedule: the run must terminate, the recorded kernel events must close
+/// schedule: the run must terminate, the kernel's event stream must close
 /// every rotation, and the platform must end with every SI executable.
 TEST(FaultInvariants, Fig06ScenarioUnderSeededFaults) {
   const auto lib = rispp::isa::SiLibrary::h264();
@@ -191,6 +181,8 @@ TEST(FaultInvariants, Fig06ScenarioUnderSeededFaults) {
     cfg.rt.faults = FaultModel::probabilistic(seed, 0.2, 0.1, 0.1);
     cfg.rt.max_rotation_retries = 2;
     cfg.rt.retry_backoff_cycles = 2000;
+    rispp::obs::TraceRecorder recorder;
+    cfg.rt.sink = &recorder;
     rispp::sim::Simulator sim(borrow(lib), cfg);
 
     rispp::sim::Trace a;
@@ -218,12 +210,11 @@ TEST(FaultInvariants, Fig06ScenarioUnderSeededFaults) {
     for (const auto& [name, st] : r.per_si)
       EXPECT_EQ(st.invocations, st.hw_invocations + st.sw_invocations);
 
-    // run() copies its event snapshot before the final settle; drain the
-    // manager directly so failures booked past the trace end are discovered
-    // and every rotation reaches a terminal state.
+    // Drain the manager past the trace end so failures booked there are
+    // discovered and every rotation reaches a terminal state.
     auto& mgr = sim.manager();
     const auto end = drain(mgr, r.total_cycles);
-    check_rotation_lifecycle(mgr.events());
+    rotation_lifecycle::expect_closed(mgr, recorder);
     for (std::size_t si = 0; si < lib.size(); ++si)
       EXPECT_GT(mgr.execute(si, end + 1 + si).cycles, 0u);
   }

@@ -40,6 +40,7 @@
 #include "rispp/sim/trace_io.hpp"
 #include "rispp/util/rng.hpp"
 #include "rispp/workload/trace_source.hpp"
+#include "rotation_lifecycle.hpp"
 
 namespace {
 
@@ -52,7 +53,6 @@ using rispp::isa::SiLibrary;
 using rispp::rt::Cycle;
 using rispp::rt::RisppManager;
 using rispp::rt::RtConfig;
-using rispp::rt::RtEvent;
 
 constexpr std::uint64_t kSeedBegin = 1;
 constexpr std::uint64_t kSeedEnd = 201;  // 200 libraries per suite
@@ -191,19 +191,6 @@ void check_platform_invariants(RisppManager& mgr, Cycle now) {
       << "available atoms not covered by the committed view at " << now;
 }
 
-void check_rotation_lifecycle(const std::vector<RtEvent>& events) {
-  std::uint64_t starts = 0, terminal = 0;
-  for (const auto& e : events) {
-    if (e.kind == RtEvent::Kind::RotationStart) ++starts;
-    if (e.kind == RtEvent::Kind::RotationDone ||
-        e.kind == RtEvent::Kind::RotationCancelled ||
-        e.kind == RtEvent::Kind::RotationFailed)
-      ++terminal;
-  }
-  EXPECT_EQ(starts, terminal)
-      << "I4: a rotation was issued but never reached Done/Cancelled/Failed";
-}
-
 Cycle drain(RisppManager& mgr, Cycle from) {
   Cycle t = from;
   for (int guard = 0; guard < 20000; ++guard) {
@@ -241,6 +228,8 @@ TEST(GenlibProperty, FaultInvariantsAcrossPoliciesAndShapes) {
                  cfg.selection_policy + " rep=" + cfg.replacement_policy +
                  " retries=" + std::to_string(cfg.max_rotation_retries));
 
+    rispp::obs::TraceRecorder recorder;
+    cfg.sink = &recorder;
     RisppManager mgr(rispp::isa::borrow(lib), cfg);
     rispp::util::Xoshiro256 rng(seed ^ 0x9e3779b97f4a7c15ull);
     Cycle now = 0;
@@ -281,7 +270,7 @@ TEST(GenlibProperty, FaultInvariantsAcrossPoliciesAndShapes) {
     }
 
     const auto end = drain(mgr, now);
-    check_rotation_lifecycle(mgr.events());
+    rotation_lifecycle::expect_closed(mgr, recorder);
     for (std::size_t si = 0; si < lib.size(); ++si) {
       const auto r = mgr.execute(si, end + 1 + si);
       EXPECT_GT(r.cycles, 0u) << "I5: SI " << si << " lost its fallback";

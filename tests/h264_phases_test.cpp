@@ -121,7 +121,6 @@ TEST(PhaseTrace, StructureAndCounts) {
   const auto trace = make_phase_trace(lib, p);
 
   rispp::sim::SimConfig cfg;
-  cfg.rt.record_events = false;
   rispp::sim::Simulator sim(borrow(lib), cfg);
   sim.add_task({"f", trace});
   const auto r = sim.run();
@@ -138,7 +137,6 @@ TEST(PhaseTrace, NoForecastsMeansAllSoftware) {
   p.macroblocks_per_frame = 3;
   p.forecasts = false;
   rispp::sim::SimConfig cfg;
-  cfg.rt.record_events = false;
   rispp::sim::Simulator sim(borrow(lib), cfg);
   sim.add_task({"f", make_phase_trace(lib, p)});
   const auto r = sim.run();
@@ -167,7 +165,6 @@ TEST(PhaseTrace, RotatingPlatformApproachesAsipSpeed) {
   p.macroblocks_per_frame = 50;
   rispp::sim::SimConfig cfg;
   cfg.rt.atom_containers = 12;
-  cfg.rt.record_events = false;
   rispp::sim::Simulator sim(borrow(lib), cfg);
   sim.add_task({"f", make_phase_trace(lib, p)});
   const auto r = sim.run();
@@ -189,7 +186,6 @@ TEST(PhaseTrace, LookaheadReducesSoftwareWarmup) {
     p.lookahead = lookahead;
     rispp::sim::SimConfig cfg;
     cfg.rt.atom_containers = 12;
-    cfg.rt.record_events = false;
     rispp::sim::Simulator sim(borrow(lib), cfg);
     sim.add_task({"f", make_phase_trace(lib, p)});
     const auto r = sim.run();
@@ -239,7 +235,6 @@ TEST(MultimediaTv, EncoderAndDecoderShareContainers) {
   p.macroblocks_per_frame = 20;
   rispp::sim::SimConfig cfg;
   cfg.rt.atom_containers = 12;
-  cfg.rt.record_events = false;
   cfg.quantum = 30000;
   rispp::sim::Simulator sim(borrow(lib), cfg);
   sim.add_task({"enc", make_phase_trace(lib, p, fig1_phases())});

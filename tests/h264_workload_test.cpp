@@ -94,7 +94,6 @@ TEST_F(Workload, ForecastedRunApproachesIdealAfterWarmup) {
   p.macroblocks = 60;
   rispp::sim::SimConfig cfg;
   cfg.rt.atom_containers = 4;
-  cfg.rt.record_events = false;
   rispp::sim::Simulator sim(borrow(lib_), cfg);
   sim.add_task({"enc", make_encode_trace(lib_, p)});
   const auto r = sim.run();

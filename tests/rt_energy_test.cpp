@@ -79,7 +79,6 @@ TEST(ManagerEnergy, HardwareAmortizesRotationEnergy) {
   const auto lib = rispp::isa::SiLibrary::h264();
   const auto satd = lib.index_of("SATD_4x4");
   RtConfig cfg;
-  cfg.record_events = false;
   RisppManager mgr(borrow(lib), cfg);
   mgr.forecast(satd, 10000, 1.0, 0);
   Cycle now = 1'000'000;  // rotations done
@@ -93,7 +92,6 @@ TEST(ManagerEnergy, HardwareAmortizesRotationEnergy) {
 TEST(ManagerEnergy, LeakageGrowsWithLoadedAtoms) {
   const auto lib = rispp::isa::SiLibrary::h264();
   RtConfig cfg;
-  cfg.record_events = false;
   RisppManager mgr(borrow(lib), cfg);
   EXPECT_EQ(mgr.loaded_slices(), 0u);
   mgr.forecast(lib.index_of("SATD_4x4"), 1000, 1.0, 0);

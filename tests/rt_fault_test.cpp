@@ -18,6 +18,7 @@
 #include "rispp/sim/observe.hpp"
 #include "rispp/sim/simulator.hpp"
 #include "rispp/util/error.hpp"
+#include "rotation_lifecycle.hpp"
 
 namespace {
 
@@ -27,11 +28,12 @@ using rispp::hw::ReconfigPort;
 using rispp::hw::TransferFault;
 using rispp::hw::TransferResult;
 using rispp::isa::borrow;
+using rispp::obs::EventKind;
+using rispp::obs::TraceRecorder;
 using rispp::rt::Cycle;
 using rispp::rt::RisppManager;
 using rispp::rt::RotationScheduler;
 using rispp::rt::RtConfig;
-using rispp::rt::RtEvent;
 
 // --- hw::FaultModel ------------------------------------------------------
 
@@ -174,23 +176,6 @@ TEST(FaultScheduler, CancelledFaultyBookingIsNeverDelivered) {
 
 // --- RisppManager reaction ----------------------------------------------
 
-/// Counts terminal rotation events: every RotationStart must be matched by
-/// exactly one of Done / Cancelled / Failed once the run is drained.
-void expect_rotation_lifecycle_closed(const std::vector<RtEvent>& events) {
-  std::uint64_t starts = 0, dones = 0, cancelled = 0, failed = 0;
-  for (const auto& e : events) {
-    switch (e.kind) {
-      case RtEvent::Kind::RotationStart: ++starts; break;
-      case RtEvent::Kind::RotationDone: ++dones; break;
-      case RtEvent::Kind::RotationCancelled: ++cancelled; break;
-      case RtEvent::Kind::RotationFailed: ++failed; break;
-      default: break;
-    }
-  }
-  EXPECT_EQ(starts, dones + cancelled + failed)
-      << "a rotation was issued but never reached a terminal state";
-}
-
 /// Polls the manager at every wakeup until the platform settles.
 Cycle drain(RisppManager& mgr, Cycle from) {
   Cycle t = from;
@@ -212,6 +197,8 @@ TEST(FaultRecovery, FailedRotationBacksOffThenRetriesAndRecovers) {
       FaultModel::schedule({{0, {TransferResult::Failed, 1.0}}});
   cfg.max_rotation_retries = 3;
   cfg.retry_backoff_cycles = 1000;
+  TraceRecorder recorder;
+  cfg.sink = &recorder;
   RisppManager mgr(borrow(lib), cfg);
 
   mgr.forecast(lib.index_of("XA"), 1000, 1.0, 0);
@@ -246,7 +233,7 @@ TEST(FaultRecovery, FailedRotationBacksOffThenRetriesAndRecovers) {
   const auto end = drain(mgr, *unblock);
   EXPECT_TRUE(mgr.execute(lib.index_of("XA"), end + 1).hardware);
   EXPECT_EQ(mgr.containers().at(0).fail_streak, 0u);
-  expect_rotation_lifecycle_closed(mgr.events());
+  rotation_lifecycle::expect_closed(mgr, recorder);
 }
 
 TEST(FaultRecovery, PoisonedTransferCountsSeparately) {
@@ -276,6 +263,8 @@ TEST(FaultRecovery, RepeatedFailuresQuarantineTheContainer) {
   cfg.faults = FaultModel::probabilistic(11, 1.0);  // every transfer fails
   cfg.max_rotation_retries = 1;
   cfg.retry_backoff_cycles = 100;
+  TraceRecorder recorder;
+  cfg.sink = &recorder;
   RisppManager mgr(borrow(lib), cfg);
 
   mgr.forecast(lib.index_of("XA"), 1000, 1.0, 0);
@@ -295,11 +284,11 @@ TEST(FaultRecovery, RepeatedFailuresQuarantineTheContainer) {
   EXPECT_FALSE(exec.hardware);
   EXPECT_EQ(exec.cycles, 1000u);
 
+  rotation_lifecycle::expect_closed(mgr, recorder);
   bool saw_quarantine_event = false;
-  for (const auto& e : mgr.events())
-    if (e.kind == RtEvent::Kind::AcQuarantined) saw_quarantine_event = true;
+  for (const auto& e : recorder.events())
+    if (e.kind == EventKind::AcQuarantined) saw_quarantine_event = true;
   EXPECT_TRUE(saw_quarantine_event);
-  expect_rotation_lifecycle_closed(mgr.events());
 }
 
 TEST(FaultRecovery, BackoffGrowsExponentiallyWithTheStreak) {
@@ -338,7 +327,7 @@ TEST(FaultRecovery, BackoffGrowsExponentiallyWithTheStreak) {
 // --- cancel-stale interaction (bugfix-sweep audit) -----------------------
 
 /// Three-instance molecule: one forecast issues three serialized rotations,
-/// so a Failed transfer can sit between two clean (tombstoned) ones.
+/// so a Failed transfer can sit between two clean ones.
 const char* kThreeAtomLibrary = R"(
 catalog
   atom P slices=100 luts=200 bitstream=50000 rotatable
@@ -356,21 +345,28 @@ TEST(FaultCancelStale, FailedBetweenTwoDonesDoesNotSkipTombstones) {
   cfg.cancel_stale_rotations = true;
   cfg.faults =
       FaultModel::schedule({{1, {TransferResult::Failed, 1.0}}});
+  TraceRecorder recorder;
+  cfg.sink = &recorder;
   RisppManager mgr(borrow(lib), cfg);
+  const auto finished_on = [&] {
+    std::vector<std::int32_t> containers;
+    for (const auto& e : recorder.events())
+      if (e.kind == EventKind::RotationFinished)
+        containers.push_back(e.container);
+    return containers;
+  };
 
-  // One forecast → three serialized transfers: seq 0 Ok (tombstoned Done),
-  // seq 1 Failed (no tombstone), seq 2 Ok (tombstoned Done).
+  // One forecast → three serialized transfers: seq 0 Ok (Finished emitted
+  // at issue), seq 1 Failed (no Finished), seq 2 Ok (Finished emitted).
   mgr.forecast(lib.index_of("XA"), 1000, 1.0, 0);
   ASSERT_EQ(mgr.rotations_performed(), 3u);
-  std::uint64_t dones = 0;
-  for (const auto& e : mgr.events())
-    if (e.kind == RtEvent::Kind::RotationDone) ++dones;
-  ASSERT_EQ(dones, 2u) << "a faulty booking must not pre-record a Done";
+  ASSERT_EQ(finished_on().size(), 2u)
+      << "a faulty booking must not emit a RotationFinished";
 
   // Releasing the demand before the second transfer starts cancels both
   // queued bookings — the Failed one (whose pending failure must die with
-  // it) and the last Ok one (whose tombstoned Done is erased by index, with
-  // the Failed booking sitting between the two tombstoned events).
+  // it) and the last Ok one (whose RotationCancelled must name its own
+  // finished booking, past the Failed booking between the two).
   mgr.forecast_release(lib.index_of("XA"), 1);
   EXPECT_EQ(mgr.rotations_cancelled(), 2u);
   EXPECT_EQ(mgr.rotations_performed(), 1u);
@@ -380,16 +376,14 @@ TEST(FaultCancelStale, FailedBetweenTwoDonesDoesNotSkipTombstones) {
   // The cancelled faulty transfer never reports: only terminated cleanly.
   EXPECT_EQ(mgr.counters().get("rotations_failed"), 0u);
 
-  dones = 0;
-  std::optional<unsigned> done_container;
-  for (const auto& e : mgr.events())
-    if (e.kind == RtEvent::Kind::RotationDone) {
-      ++dones;
-      done_container = e.container;
-    }
-  EXPECT_EQ(dones, 1u) << "exactly the first transfer's Done must survive";
-  EXPECT_EQ(done_container, std::optional<unsigned>(0u));
-  expect_rotation_lifecycle_closed(mgr.events());
+  rotation_lifecycle::expect_closed(mgr, recorder);
+  // Exactly the first transfer's booking finished without a cancellation.
+  std::vector<std::int32_t> cancelled_on;
+  for (const auto& e : recorder.events())
+    if (e.kind == EventKind::RotationCancelled)
+      cancelled_on.push_back(e.container);
+  EXPECT_EQ(cancelled_on, (std::vector<std::int32_t>{1, 2}));
+  EXPECT_EQ(finished_on(), (std::vector<std::int32_t>{0, 2}));
 }
 
 // --- zero-fault differential --------------------------------------------

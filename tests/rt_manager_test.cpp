@@ -5,11 +5,14 @@
 
 #include "rispp/rt/manager.hpp"
 #include "rispp/util/error.hpp"
+#include "rotation_lifecycle.hpp"
 
 namespace {
 
 using namespace rispp::rt;
 using rispp::isa::SiLibrary;
+using rispp::obs::EventKind;
+using rispp::obs::TraceRecorder;
 
 RtConfig fast_config() {
   RtConfig cfg;
@@ -134,7 +137,10 @@ TEST_F(Manager, MonitoringLearnsActualExecutions) {
 }
 
 TEST_F(Manager, EventTraceRecordsLifecycle) {
-  RisppManager mgr(borrow(lib_), fast_config());
+  TraceRecorder recorder;
+  RtConfig cfg = fast_config();
+  cfg.sink = &recorder;
+  RisppManager mgr(borrow(lib_), cfg);
   mgr.forecast(ht2_, 10, 1.0, 0);
   mgr.execute(ht2_, 1);       // software (rotation in flight)
   mgr.execute(ht2_, 300000);  // hardware
@@ -142,14 +148,15 @@ TEST_F(Manager, EventTraceRecordsLifecycle) {
 
   bool saw_forecast = false, saw_rot_start = false, saw_rot_done = false,
        saw_sw = false, saw_hw = false, saw_release = false;
-  for (const auto& e : mgr.events()) {
+  for (const auto& e : recorder.events()) {
     switch (e.kind) {
-      case RtEvent::Kind::Forecast: saw_forecast = true; break;
-      case RtEvent::Kind::RotationStart: saw_rot_start = true; break;
-      case RtEvent::Kind::RotationDone: saw_rot_done = true; break;
-      case RtEvent::Kind::ExecuteSw: saw_sw = true; break;
-      case RtEvent::Kind::ExecuteHw: saw_hw = true; break;
-      case RtEvent::Kind::ForecastRelease: saw_release = true; break;
+      case EventKind::ForecastSeen: saw_forecast = true; break;
+      case EventKind::RotationStarted: saw_rot_start = true; break;
+      case EventKind::RotationFinished: saw_rot_done = true; break;
+      case EventKind::SiExecuted:
+        (e.hardware ? saw_hw : saw_sw) = true;
+        break;
+      case EventKind::ForecastReleased: saw_release = true; break;
       default: break;
     }
   }
@@ -159,26 +166,20 @@ TEST_F(Manager, EventTraceRecordsLifecycle) {
   EXPECT_TRUE(saw_sw);
   EXPECT_TRUE(saw_hw);
   EXPECT_TRUE(saw_release);
-}
-
-TEST_F(Manager, EventRecordingCanBeDisabled) {
-  RtConfig cfg = fast_config();
-  cfg.record_events = false;
-  RisppManager mgr(borrow(lib_), cfg);
-  mgr.forecast(satd_, 100, 1.0, 0);
-  mgr.execute(satd_, 10);
-  EXPECT_TRUE(mgr.events().empty());
-  EXPECT_GT(mgr.counters().get("forecasts"), 0u);  // counters still work
+  rotation_lifecycle::expect_closed(mgr, recorder);
 }
 
 TEST_F(Manager, RotationsSerializeOverThePort) {
   // Four needed atoms must complete one after another: the i-th completion
   // time is at least i × min bitstream duration.
-  RisppManager mgr(borrow(lib_), fast_config());
+  TraceRecorder recorder;
+  RtConfig cfg = fast_config();
+  cfg.sink = &recorder;
+  RisppManager mgr(borrow(lib_), cfg);
   mgr.forecast(satd_, 256, 1.0, 0);
   std::vector<Cycle> completions;
-  for (const auto& e : mgr.events())
-    if (e.kind == RtEvent::Kind::RotationDone) completions.push_back(e.at);
+  for (const auto& e : recorder.events())
+    if (e.kind == EventKind::RotationFinished) completions.push_back(e.at);
   ASSERT_EQ(completions.size(), 4u);
   for (std::size_t i = 1; i < completions.size(); ++i)
     EXPECT_GT(completions[i], completions[i - 1]);
@@ -221,8 +222,10 @@ TEST_F(Manager, StaleRotationCancellation) {
   // to HT_4x4 before any-but-the-first transfer started: with cancellation
   // on, the queued stale transfers are dropped, their containers freed, and
   // the HT atoms start loading right away.
+  TraceRecorder recorder;
   RtConfig cfg = fast_config();
   cfg.cancel_stale_rotations = true;
+  cfg.sink = &recorder;
   RisppManager mgr(borrow(lib_), cfg);
   const auto ht4 = lib_.index_of("HT_4x4");
 
@@ -242,17 +245,10 @@ TEST_F(Manager, StaleRotationCancellation) {
   const auto res = mgr.execute(ht4, 2'000'000);
   EXPECT_TRUE(res.hardware);
 
-  // Event trace consistency: every recorded RotationDone corresponds to a
-  // rotation that was not cancelled.
-  std::uint64_t starts = 0, dones = 0, cancels = 0;
-  for (const auto& e : mgr.events()) {
-    if (e.kind == RtEvent::Kind::RotationStart) ++starts;
-    if (e.kind == RtEvent::Kind::RotationDone) ++dones;
-    if (e.kind == RtEvent::Kind::RotationCancelled) ++cancels;
-  }
-  EXPECT_EQ(cancels, mgr.rotations_cancelled());
-  EXPECT_EQ(dones, mgr.rotations_performed());
-  EXPECT_EQ(starts, dones + cancels);
+  // Event stream consistency: every cancellation names a finished booking,
+  // and the finished bookings that were not cancelled are the rotations
+  // performed.
+  rotation_lifecycle::expect_closed(mgr, recorder);
 }
 
 TEST_F(Manager, CancellationRefundsRotationEnergy) {
@@ -352,71 +348,33 @@ TEST_F(Manager, UsableAtomsMatchesAvailableRecompute) {
   for (Cycle t = 600002; t <= 1300000; t += 30000) check(t);
 }
 
-TEST_F(Manager, EventCompactionIsInvisibleToReaders) {
-  // A cancelled rotation tombstones its pre-recorded RotationDone event
-  // instead of the seed's O(n) mid-vector erase; compaction happens lazily
-  // inside events(), remapping the surviving pending-done indices. Reading
-  // mid-stream — which compacts while later cancellations still reference
-  // events recorded after the holes — must yield exactly the same final
-  // trace as never reading until the end.
+TEST_F(Manager, TwoWaveCancellationKeepsTheLifecycleClosed) {
+  // Two waves of stale cancellations: the second cancels bookings issued
+  // after the first wave's cancelled ones, while the port is still busy
+  // with the very first transfer. Checked mid-stream and at the end, every
+  // cancellation must name its own finished booking.
+  TraceRecorder recorder;
   RtConfig cfg = fast_config();
   cfg.cancel_stale_rotations = true;
+  cfg.sink = &recorder;
+  RisppManager mgr(borrow(lib_), cfg);
   const auto ht4 = lib_.index_of("HT_4x4");
 
-  RisppManager observed(borrow(lib_), cfg);  // events() read between waves
-  RisppManager control(borrow(lib_), cfg);   // events() read once at the end
-  const auto drive_wave1 = [&](RisppManager& mgr) {
-    mgr.forecast(satd_, 1000, 1.0, 0);
-    mgr.forecast_release(satd_, 10);  // strands 3 queued SATD transfers
-    mgr.forecast(ht4, 1'000'000, 1.0, 10);
-  };
-  const auto drive_wave2 = [&](RisppManager& mgr) {
-    // The port is still busy with the first SATD transfer, so HT_4x4's
-    // bookings are all queued — releasing it strands them in turn.
-    mgr.forecast_release(ht4, 20);
-    mgr.forecast(satd_, 1000, 1.0, 20);
-    (void)mgr.execute(satd_, 900000);
-    mgr.poll(2'000'000);
-  };
-
-  drive_wave1(observed);
-  drive_wave1(control);
-  const auto wave1_cancels = observed.rotations_cancelled();
+  mgr.forecast(satd_, 1000, 1.0, 0);
+  mgr.forecast_release(satd_, 10);  // strands 3 queued SATD transfers
+  mgr.forecast(ht4, 1'000'000, 1.0, 10);
+  const auto wave1_cancels = mgr.rotations_cancelled();
   ASSERT_GT(wave1_cancels, 0u);
-  // Mid-stream read: compacts wave 1's tombstones while the pending dones
-  // booked after them (HT_4x4's) still need their indices remapped for
-  // wave 2's cancellations to hit the right events.
-  const auto mid_size = observed.events().size();
-  EXPECT_GT(mid_size, 0u);
+  rotation_lifecycle::expect_closed(mgr, recorder);
 
-  drive_wave2(observed);
-  drive_wave2(control);
-  ASSERT_GT(observed.rotations_cancelled(), wave1_cancels);
-
-  const auto& a = observed.events();
-  const auto& b = control.events();
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].at, b[i].at) << "event " << i;
-    EXPECT_EQ(a[i].kind, b[i].kind) << "event " << i;
-    EXPECT_EQ(a[i].si_index, b[i].si_index) << "event " << i;
-    EXPECT_EQ(a[i].atom_kind, b[i].atom_kind) << "event " << i;
-    EXPECT_EQ(a[i].container, b[i].container) << "event " << i;
-    EXPECT_EQ(a[i].task, b[i].task) << "event " << i;
-    EXPECT_EQ(a[i].cycles, b[i].cycles) << "event " << i;
-  }
-
-  // The structural invariant the tombstones must preserve: every surviving
-  // RotationStart pairs with a completion, every cancellation dropped one.
-  std::uint64_t starts = 0, dones = 0, cancels = 0;
-  for (const auto& e : a) {
-    if (e.kind == RtEvent::Kind::RotationStart) ++starts;
-    if (e.kind == RtEvent::Kind::RotationDone) ++dones;
-    if (e.kind == RtEvent::Kind::RotationCancelled) ++cancels;
-  }
-  EXPECT_EQ(cancels, observed.rotations_cancelled());
-  EXPECT_EQ(dones, observed.rotations_performed());
-  EXPECT_EQ(starts, dones + cancels);
+  // HT_4x4's bookings are all queued behind the first SATD transfer, so
+  // releasing it strands them in turn.
+  mgr.forecast_release(ht4, 20);
+  mgr.forecast(satd_, 1000, 1.0, 20);
+  (void)mgr.execute(satd_, 900000);
+  mgr.poll(2'000'000);
+  ASSERT_GT(mgr.rotations_cancelled(), wave1_cancels);
+  rotation_lifecycle::expect_closed(mgr, recorder);
 }
 
 TEST_F(Manager, ForecastValidation) {
@@ -429,6 +387,44 @@ TEST_F(Manager, ForecastValidation) {
   EXPECT_THROW(mgr.execute(99, 0), rispp::util::PreconditionError);
   // Releasing a never-forecasted SI is a harmless no-op.
   EXPECT_NO_THROW(mgr.forecast_release(dct_, 0));
+}
+
+TEST(RtConfigValidation, UnknownFactoryKeysThrowListingRegistered) {
+  const auto lib = rispp::isa::share(SiLibrary::h264());
+  RtConfig bad_selection;
+  bad_selection.selection_policy = "greedyy";
+  try {
+    const RisppManager mgr(lib, bad_selection);
+    FAIL() << "expected util::Error";
+  } catch (const rispp::util::Error& e) {  // PreconditionError is-a Error
+    const std::string what = e.what();
+    EXPECT_NE(what.find("greedyy"), std::string::npos);
+    EXPECT_NE(what.find("greedy"), std::string::npos);
+    EXPECT_NE(what.find("exhaustive"), std::string::npos);
+  }
+  RtConfig bad_replacement;
+  bad_replacement.replacement_policy = "fifo";
+  try {
+    validate(bad_replacement);
+    FAIL() << "expected util::Error";
+  } catch (const rispp::util::Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("fifo"), std::string::npos);
+    EXPECT_NE(what.find("lru"), std::string::npos);
+    EXPECT_NE(what.find("round-robin"), std::string::npos);
+  }
+}
+
+TEST(RtConfigValidation, RangeChecksFireAtConstruction) {
+  const auto lib = rispp::isa::share(SiLibrary::h264());
+  RtConfig no_containers;
+  no_containers.atom_containers = 0;
+  EXPECT_THROW(RisppManager(lib, no_containers),
+               rispp::util::PreconditionError);
+  RtConfig bad_rate;
+  bad_rate.learning_rate = 1.5;
+  EXPECT_THROW(validate(bad_rate), rispp::util::PreconditionError);
+  EXPECT_NO_THROW(validate(RtConfig{}));
 }
 
 }  // namespace

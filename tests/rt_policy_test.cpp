@@ -1,9 +1,10 @@
-/// Policy-seam tests: the string-keyed factory, replacement strategy
-/// objects vs the legacy enum path, and the first-class ExhaustiveSelector.
+/// Policy-seam tests: the string-keyed factory, the replacement strategy
+/// objects, and the first-class ExhaustiveSelector.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 
 #include "rispp/rt/manager.hpp"
 #include "rispp/rt/policy.hpp"
@@ -74,47 +75,26 @@ TEST_F(Policies, CustomRegistrationIsConstructible) {
   EXPECT_EQ(mgr.replacement_policy().name(), "lru");
 }
 
-// The enum→key shim: the deprecated RtConfig::set_victim_policy() path must
-// keep steering the replacement factory while no string key is set. This
-// test is the one sanctioned user of the deprecated setter.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST_F(Policies, LegacyVictimPolicyEnumMapsToFactoryKeys) {
-  EXPECT_STREQ(to_policy_name(VictimPolicy::LruExcess), "lru");
-  EXPECT_STREQ(to_policy_name(VictimPolicy::MruExcess), "mru");
-  EXPECT_STREQ(to_policy_name(VictimPolicy::RoundRobinExcess), "round-robin");
-  RtConfig cfg;
-  cfg.set_victim_policy(VictimPolicy::MruExcess);  // no factory key set
-  RisppManager mgr(borrow(lib_), cfg);
-  EXPECT_EQ(mgr.replacement_policy().name(), "mru");
-  // The string key wins over the enum as soon as it is non-empty.
-  cfg.replacement_policy = "round-robin";
-  RisppManager keyed(borrow(lib_), cfg);
-  EXPECT_EQ(keyed.replacement_policy().name(), "round-robin");
-}
-#pragma GCC diagnostic pop
-
-TEST_F(Policies, LruAndMruPicksMatchTheLegacyEnumPath) {
+TEST_F(Policies, LruAndMruPickTheExpectedContainers) {
+  // Three Transform containers, loaded at 10/20/30; one touch at 100 marks
+  // container 0 (least recently used first, ties to the lowest id). With
+  // every container in excess, LRU picks the first untouched one and MRU
+  // the touched one.
   const auto& cat = lib_.catalog();
   const auto transform = cat.index_of("Transform");
-  for (const auto policy :
-       {VictimPolicy::LruExcess, VictimPolicy::MruExcess}) {
-    ContainerFile legacy(3, cat), strategic(3, cat);
-    for (unsigned c = 0; c < 3; ++c) {
-      legacy.start_rotation(c, transform, 10 * (c + 1), kNoTask);
-      strategic.start_rotation(c, transform, 10 * (c + 1), kNoTask);
-    }
-    legacy.refresh(30);
-    strategic.refresh(30);
+  for (const auto& [key, expected] :
+       {std::pair<const char*, unsigned>{"lru", 1}, {"mru", 0}}) {
+    ContainerFile file(3, cat);
+    for (unsigned c = 0; c < 3; ++c)
+      file.start_rotation(c, transform, 10 * (c + 1), kNoTask);
+    file.refresh(30);
     rispp::atom::Molecule one(cat.size());
     one.set(transform, 1);
-    legacy.touch(one, 100);
-    strategic.touch(one, 100);
-    auto obj = make_replacement_policy(to_policy_name(policy));
-    const auto a = legacy.choose_victim(cat.zero(), 200, policy);
-    const auto b = strategic.choose_victim(cat.zero(), 200, *obj);
-    ASSERT_TRUE(a && b);
-    EXPECT_EQ(*a, *b) << to_policy_name(policy);
+    file.touch(one, 100);
+    const auto victim =
+        file.choose_victim(cat.zero(), 200, *make_replacement_policy(key));
+    ASSERT_TRUE(victim.has_value()) << key;
+    EXPECT_EQ(*victim, expected) << key;
   }
 }
 

@@ -128,6 +128,10 @@ void check_replacement_victims(const SiLibrary& lib,
   }
   file.refresh(now);
 
+  LruReplacement lru;
+  MruReplacement mru;
+  RoundRobinReplacement round_robin;
+  ReplacementPolicy* const policies[] = {&lru, &mru, &round_robin};
   for (int trial = 0; trial < 20; ++trial) {
     // Draw a count for every component (keeps the stream), but the target
     // configuration itself only ever demands rotatable Atoms.
@@ -136,10 +140,8 @@ void check_replacement_victims(const SiLibrary& lib,
       const auto c = static_cast<rispp::atom::Count>(rng.below(3));
       if (cat.at(a).rotatable) target.set(a, c);
     }
-    for (const auto policy :
-         {VictimPolicy::LruExcess, VictimPolicy::MruExcess,
-          VictimPolicy::RoundRobinExcess}) {
-      const auto victim = file.choose_victim(target, now, policy);
+    for (auto* const policy : policies) {
+      const auto victim = file.choose_victim(target, now, *policy);
       if (!victim) continue;
       const auto& ac = file.at(*victim);
       EXPECT_FALSE(ac.busy(now))

@@ -153,7 +153,6 @@ int main(int argc, char** argv) try {
   // simulate
   rispp::sim::SimConfig cfg;
   cfg.rt.atom_containers = containers;
-  cfg.rt.record_events = false;
   cfg.quantum = quantum;
   const auto source =
       rispp::workload::TraceSource::make_phased(workload);
