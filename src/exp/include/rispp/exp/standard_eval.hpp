@@ -16,7 +16,6 @@
 ///   mb           macroblocks per frame / per run     (default 60)
 ///   selector     selection-policy factory key        (default "greedy")
 ///   replacement  replacement-policy factory key      (default "lru")
-///   driving      wakeups | poll-every-switch         (default wakeups)
 ///   bandwidth    reconfiguration port MB/s           (default Table 1)
 ///   cost_factor  RtConfig::rotation_cost_factor      (default 0)
 ///   cancel_stale 0 | 1                               (default 0)

@@ -214,7 +214,6 @@ sim::SimConfig sim_config_for(const SweepPoint& point) {
   cfg.rt.max_rotation_retries = get_unsigned(point, "retries", 3);
   cfg.rt.retry_backoff_cycles = point.get_u64("backoff", 1000);
   cfg.quantum = point.get_u64("quantum", 10000);
-  cfg.driving = sim::parse_driving(point.get("driving", "wakeups"));
 
   const double jitter = point.get_f64("jitter", 0.0);
   RISPP_REQUIRE(jitter >= 0.0 && jitter < 1.0, "jitter must be in [0,1)");

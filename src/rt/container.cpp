@@ -169,7 +169,8 @@ void ContainerFile::touch(const atom::Molecule& used, Cycle now) {
 
 bool ContainerFile::unblocked_in(Cycle after, Cycle upto) const {
   for (const auto& c : containers_)
-    if (!c.quarantined && c.blocked_until > after && c.blocked_until <= upto)
+    if (!c.blocked_for_good() && c.blocked_until > after &&
+        c.blocked_until <= upto)
       return true;
   return false;
 }
@@ -177,7 +178,7 @@ bool ContainerFile::unblocked_in(Cycle after, Cycle upto) const {
 std::optional<Cycle> ContainerFile::next_unblock_after(Cycle t) const {
   std::optional<Cycle> next;
   for (const auto& c : containers_)
-    if (!c.quarantined && c.blocked_until > t &&
+    if (!c.blocked_for_good() && c.blocked_until > t &&
         (!next || c.blocked_until < *next))
       next = c.blocked_until;
   return next;

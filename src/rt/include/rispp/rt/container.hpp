@@ -16,6 +16,7 @@
 /// around the reduced AC set from then on.
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -46,8 +47,13 @@ struct AtomContainer {
   bool quarantined = false;
 
   bool busy(Cycle now) const { return loading.has_value() && now < ready_at; }
+  /// Quarantined, or in a backoff window saturated at the largest Cycle:
+  /// such a window never ends, so it is no wakeup source either.
+  bool blocked_for_good() const {
+    return quarantined || blocked_until == std::numeric_limits<Cycle>::max();
+  }
   bool blocked(Cycle now) const {
-    return quarantined || now < blocked_until;
+    return blocked_for_good() || now < blocked_until;
   }
 };
 
@@ -111,10 +117,11 @@ class ContainerFile {
   /// the container ends empty (nothing usable landed), its fail streak
   /// grows, and it either enters a capped-exponential backoff window
   /// (`retry_backoff_cycles << min(streak-1, 16)`, saturating at the
-  /// largest Cycle rather than wrapping) or — when the streak
-  /// exceeds `max_retries` — is quarantined for good. Returns true when
-  /// this failure quarantined the container. Must be called before the
-  /// refresh() that would otherwise promote the poisoned load.
+  /// largest Cycle rather than wrapping; a saturated window never ends) or
+  /// — when the streak exceeds `max_retries` — is quarantined for good.
+  /// Returns true when this failure quarantined the container. Must be
+  /// called before the refresh() that would otherwise promote the poisoned
+  /// load.
   bool on_rotation_failed(unsigned c, std::size_t atom_kind, Cycle failed_at,
                           unsigned max_retries, Cycle retry_backoff_cycles);
 

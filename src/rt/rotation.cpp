@@ -1,6 +1,7 @@
 #include "rispp/rt/rotation.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "rispp/util/error.hpp"
 
@@ -32,7 +33,11 @@ RotationScheduler::Booking RotationScheduler::schedule(
   const auto transfer = port_.next_transfer(
       catalog.at(atom_kind).hardware.bitstream_bytes, clock_mhz_);
   const Cycle start = std::max(now, busy_until_);
-  const Cycle done = start + transfer.cycles;
+  // Saturating: a transfer booked near the largest Cycle ends there rather
+  // than wrapping to a `done` before its `start`.
+  constexpr Cycle kMax = std::numeric_limits<Cycle>::max();
+  const Cycle done =
+      transfer.cycles > kMax - start ? kMax : start + transfer.cycles;
   busy_until_ = done;
   ++rotations_;
   const Booking booking{start, done, container, atom_kind, transfer.result};

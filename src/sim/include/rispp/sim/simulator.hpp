@@ -22,52 +22,11 @@
 
 namespace rispp::sim {
 
-/// How the simulator drives the manager's reallocation kernel.
-enum class Driving {
-  /// Re-evaluate blocked reallocations via rotation-completion wakeups: the
-  /// manager exposes its next completion cycle and the simulator polls only
-  /// at task switches where `now` crossed it, instead of on every switch
-  /// (see docs/observability.md for why this is equivalent). The default.
-  Wakeups,
-  /// Poll the manager at every task switch, like the seed simulator did.
-  /// Kept for equivalence regression tests and for measuring the kernel's
-  /// plan cache under polling pressure (bench/realloc_hot_path).
-  PollEverySwitch,
-};
-
-const char* to_string(Driving d);
-/// Parses "wakeups" / "poll-every-switch" (throws util::PreconditionError
-/// listing the valid spellings otherwise) — grid axes and CLI flags use it.
-Driving parse_driving(const std::string& key);
-
-/// How run() finds the next runnable task. Scheduling order and results are
-/// identical in both modes (rt_stress/sim_sched tests assert it); only the
-/// per-switch cost differs.
-enum class Scheduler {
-  /// Circular doubly-linked ring over the not-yet-finished tasks: picking
-  /// the next task is one link hop and a finished task unlinks in O(1),
-  /// so a task switch costs O(1) regardless of task count. The default.
-  RunnableRing,
-  /// The seed's O(T) behaviour: scan forward from the current slot,
-  /// skipping finished tasks, plus an any_of over all tasks per switch.
-  /// Kept for differential tests and bench/kernel_throughput.
-  LinearScan,
-};
-
-const char* to_string(Scheduler s);
-/// Parses "runnable-ring" / "linear-scan" (throws util::PreconditionError
-/// otherwise).
-Scheduler parse_scheduler(const std::string& key);
-
 struct SimConfig {
   rt::RtConfig rt{};
   /// Round-robin quantum in cycles. Compute intervals are sliced at quantum
   /// granularity; SI invocations are atomic.
   std::uint64_t quantum = 10000;
-  /// Reallocation driving mode (see Driving).
-  Driving driving = Driving::Wakeups;
-  /// Task-lookup strategy (see Scheduler); results are identical.
-  Scheduler scheduler = Scheduler::RunnableRing;
 };
 
 struct SiStats {
@@ -111,7 +70,12 @@ class Simulator {
 
   /// Runs all tasks to completion and returns the aggregate result. The
   /// manager (and thus loaded Atoms) persists across run() calls, so
-  /// steady-state studies can run a warm-up workload first.
+  /// steady-state studies can run a warm-up workload first. Blocked
+  /// reallocations are retried via the manager's next_wakeup(): a task
+  /// switch polls only once a rotation completion or backoff expiry has
+  /// passed. That yields the same event stream and cycles as the seed's
+  /// poll at every switch (tests/reference_driver.hpp keeps that loop as
+  /// the differential oracle).
   SimResult run();
 
   rt::RisppManager& manager() { return manager_; }

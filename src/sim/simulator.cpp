@@ -6,36 +6,6 @@
 
 namespace rispp::sim {
 
-const char* to_string(Driving d) {
-  switch (d) {
-    case Driving::Wakeups: return "wakeups";
-    case Driving::PollEverySwitch: return "poll-every-switch";
-  }
-  return "?";
-}
-
-Driving parse_driving(const std::string& key) {
-  if (key == "wakeups") return Driving::Wakeups;
-  if (key == "poll-every-switch") return Driving::PollEverySwitch;
-  throw util::PreconditionError("unknown driving mode '" + key +
-                                "' (valid: wakeups, poll-every-switch)");
-}
-
-const char* to_string(Scheduler s) {
-  switch (s) {
-    case Scheduler::RunnableRing: return "runnable-ring";
-    case Scheduler::LinearScan: return "linear-scan";
-  }
-  return "?";
-}
-
-Scheduler parse_scheduler(const std::string& key) {
-  if (key == "runnable-ring") return Scheduler::RunnableRing;
-  if (key == "linear-scan") return Scheduler::LinearScan;
-  throw util::PreconditionError("unknown scheduler '" + key +
-                                "' (valid: runnable-ring, linear-scan)");
-}
-
 const SiStats& SimResult::si(const std::string& name) const {
   const auto it = per_si.find(name);
   RISPP_REQUIRE(it != per_si.end(), "no stats for SI: " + name);
@@ -75,16 +45,14 @@ SimResult Simulator::run() {
   // the end. The seed did a string-keyed map lookup per SI invocation.
   std::vector<SiStats> si_stats(lib_->size());
 
-  const std::size_t n = tasks_.size();
-  const bool linear = cfg_.scheduler == Scheduler::LinearScan;
-
   // Runnable-task ring: circular doubly-linked list (index arrays) over the
-  // not-yet-finished tasks, in task-id order — the same round-robin order
-  // the linear scan produces. Advancing is one hop; a finished task unlinks
-  // in O(1). Built fresh per run() (a re-run may start with finished tasks).
+  // not-yet-finished tasks, in task-id order — the round-robin order of the
+  // seed's linear scan. Advancing is one hop; a finished task unlinks in
+  // O(1). Built fresh per run() (a re-run may start with finished tasks).
+  const std::size_t n = tasks_.size();
   std::vector<std::size_t> ring_next(n), ring_prev(n);
   std::size_t runnable = 0;
-  std::size_t head = 0;
+  std::size_t current = 0;
   {
     std::vector<std::size_t> ids;
     ids.reserve(n);
@@ -95,21 +63,11 @@ SimResult Simulator::run() {
       ring_next[ids[k]] = ids[(k + 1) % ids.size()];
       ring_prev[ids[k]] = ids[(k + ids.size() - 1) % ids.size()];
     }
-    if (!ids.empty()) head = ids.front();
+    if (!ids.empty()) current = ids.front();
   }
 
-  auto any_running = [&] {
-    return std::any_of(tasks_.begin(), tasks_.end(),
-                       [](const TaskState& t) { return !t.done(); });
-  };
-
-  std::size_t current = linear ? 0 : head;
   int last_task = -1;
-  while (linear ? any_running() : runnable > 0) {
-    // Pick the next runnable task, round-robin. The ring is already parked
-    // on one; the legacy mode scans forward over finished tasks.
-    if (linear)
-      while (tasks_[current].done()) current = (current + 1) % tasks_.size();
+  while (runnable > 0) {
     TaskState& task = tasks_[current];
     const int task_id = static_cast<int>(current);
     // Announce the switch only when this quantum will consume cycles: a
@@ -129,26 +87,24 @@ SimResult Simulator::run() {
     // Wakeup-driven reallocation retry: between rotation completions a poll
     // cannot change the platform state (victims unblock only when a
     // transfer finishes; committed atoms change only inside the manager),
-    // so only poll when a completion landed since the last check. The
-    // horizon itself is cached against the manager's state generation (see
-    // cached_wake_) instead of recomputed every switch.
-    if (cfg_.driving == Driving::PollEverySwitch) {
-      manager_.poll(now_);
-    } else {
-      const auto generation = manager_.state_generation();
-      if (!wake_valid_ || wake_generation_ != generation) {
-        cached_wake_ = manager_.next_wakeup(wakeup_checked_);
-        wake_generation_ = generation;
-        wake_valid_ = true;
-      }
-      if (cached_wake_ && *cached_wake_ <= now_) {
-        manager_.poll(now_);
-        // The poll may book or cancel rotations and wakeup_checked_ moves
-        // past the cached horizon — recompute at the next switch.
-        wake_valid_ = false;
-      }
-      wakeup_checked_ = now_;
+    // so only poll when a completion landed since the last check. The seed
+    // polled at every switch; sim_reference_test checks both give the same
+    // event stream (docs/observability.md). The horizon itself is cached
+    // against the manager's state generation (see cached_wake_) instead of
+    // recomputed every switch.
+    const auto generation = manager_.state_generation();
+    if (!wake_valid_ || wake_generation_ != generation) {
+      cached_wake_ = manager_.next_wakeup(wakeup_checked_);
+      wake_generation_ = generation;
+      wake_valid_ = true;
     }
+    if (cached_wake_ && *cached_wake_ <= now_) {
+      manager_.poll(now_);
+      // The poll may book or cancel rotations and wakeup_checked_ moves
+      // past the cached horizon — recompute at the next switch.
+      wake_valid_ = false;
+    }
+    wakeup_checked_ = now_;
 
     // Run this task for up to one quantum of busy cycles.
     std::uint64_t budget = cfg_.quantum;
@@ -199,17 +155,13 @@ SimResult Simulator::run() {
       }
     }
 
-    if (linear) {
-      current = (current + 1) % tasks_.size();
-    } else {
-      const std::size_t following = ring_next[current];
-      if (task.done()) {
-        --runnable;
-        ring_next[ring_prev[current]] = following;
-        ring_prev[following] = ring_prev[current];
-      }
-      current = following;
+    const std::size_t following = ring_next[current];
+    if (task.done()) {
+      --runnable;
+      ring_next[ring_prev[current]] = following;
+      ring_prev[following] = ring_prev[current];
     }
+    current = following;
   }
 
   result.total_cycles = now_;

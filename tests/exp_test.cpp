@@ -285,9 +285,6 @@ TEST(StandardEval, SweepValidationFailsFastOnTypos) {
     EXPECT_NE(std::string(e.what()).find("greedy"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find("exhaustive"), std::string::npos);
   }
-  Sweep bad_driving;
-  bad_driving.axis("driving", {"sometimes"});
-  EXPECT_THROW(validate_sim_sweep(bad_driving), PreconditionError);
   Sweep bad_workload;
   bad_workload.axis("workload", {"doom"});
   EXPECT_THROW(validate_sim_sweep(bad_workload), PreconditionError);

@@ -22,6 +22,7 @@
 #include "rispp/sim/simulator.hpp"
 #include "rispp/util/rng.hpp"
 #include "rotation_lifecycle.hpp"
+#include "sim_scenarios.hpp"
 
 namespace {
 
@@ -169,9 +170,6 @@ TEST(FaultInvariants, DegradationOnlyNeverFailsARotation) {
 /// every rotation, and the platform must end with every SI executable.
 TEST(FaultInvariants, Fig06ScenarioUnderSeededFaults) {
   const auto lib = rispp::isa::SiLibrary::h264();
-  const auto satd = lib.index_of("SATD_4x4");
-  const auto si0 = lib.index_of("HT_2x2");
-  const auto si1 = lib.index_of("HT_4x4");
 
   for (std::uint64_t seed : {3ull, 17ull, 4242ull}) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
@@ -185,25 +183,7 @@ TEST(FaultInvariants, Fig06ScenarioUnderSeededFaults) {
     cfg.rt.sink = &recorder;
     rispp::sim::Simulator sim(borrow(lib), cfg);
 
-    rispp::sim::Trace a;
-    a.push_back(rispp::sim::TraceOp::forecast(satd, 5000));
-    for (int i = 0; i < 120; ++i) {
-      a.push_back(rispp::sim::TraceOp::compute(10000));
-      a.push_back(rispp::sim::TraceOp::si(satd, 50));
-    }
-    rispp::sim::Trace b;
-    b.push_back(rispp::sim::TraceOp::forecast(si0, 50));
-    b.push_back(rispp::sim::TraceOp::compute(700000));
-    b.push_back(rispp::sim::TraceOp::si(si0, 20));
-    b.push_back(rispp::sim::TraceOp::forecast(si1, 2000000));
-    for (int i = 0; i < 8; ++i) {
-      b.push_back(rispp::sim::TraceOp::compute(40000));
-      b.push_back(rispp::sim::TraceOp::si(si1, 100));
-    }
-    b.push_back(rispp::sim::TraceOp::release(si1));
-    b.push_back(rispp::sim::TraceOp::si(si0, 20));
-    sim.add_task({"A", std::move(a)});
-    sim.add_task({"B", std::move(b)});
+    sim_scenarios::add_all(sim, sim_scenarios::fig06(lib));
 
     const auto r = sim.run();
     EXPECT_GT(r.total_cycles, 0u);  // the run terminated

@@ -14,6 +14,7 @@
 #include "rispp/sim/simulator.hpp"
 #include "rispp/util/error.hpp"
 #include "rispp/workload/trace_source.hpp"
+#include "sim_scenarios.hpp"
 
 namespace {
 
@@ -193,33 +194,6 @@ TEST(Profiler, ForecastLeadMeasuresSeenToFirstHardwareUse) {
   EXPECT_EQ(r.sis[0].sw.count, 1u);
 }
 
-/// The fig06 two-task scenario, reused across the invariant tests below.
-void add_fig06_tasks(rispp::sim::Simulator& sim,
-                     const rispp::isa::SiLibrary& lib) {
-  const auto satd = lib.index_of("SATD_4x4");
-  const auto si0 = lib.index_of("HT_2x2");
-  const auto si1 = lib.index_of("HT_4x4");
-  rispp::sim::Trace a;
-  a.push_back(rispp::sim::TraceOp::forecast(satd, 5000));
-  for (int i = 0; i < 120; ++i) {
-    a.push_back(rispp::sim::TraceOp::compute(10000));
-    a.push_back(rispp::sim::TraceOp::si(satd, 50));
-  }
-  rispp::sim::Trace b;
-  b.push_back(rispp::sim::TraceOp::forecast(si0, 50));
-  b.push_back(rispp::sim::TraceOp::compute(700000));
-  b.push_back(rispp::sim::TraceOp::si(si0, 20));
-  b.push_back(rispp::sim::TraceOp::forecast(si1, 2000000));
-  for (int i = 0; i < 8; ++i) {
-    b.push_back(rispp::sim::TraceOp::compute(40000));
-    b.push_back(rispp::sim::TraceOp::si(si1, 100));
-  }
-  b.push_back(rispp::sim::TraceOp::release(si1));
-  b.push_back(rispp::sim::TraceOp::si(si0, 20));
-  sim.add_task({"A", std::move(a)});
-  sim.add_task({"B", std::move(b)});
-}
-
 TEST(ProfilerInvariant, Fig06Scenario) {
   const auto lib = rispp::isa::SiLibrary::h264();
   rispp::sim::SimConfig cfg;
@@ -233,7 +207,7 @@ TEST(ProfilerInvariant, Fig06Scenario) {
   TeeSink tee(&recorder, &profiler);
   cfg.rt.sink = &tee;
   rispp::sim::Simulator sim(borrow(lib), cfg);
-  add_fig06_tasks(sim, lib);
+  sim_scenarios::add_all(sim, sim_scenarios::fig06(lib));
   const auto result = sim.run();
 
   const auto r = profiler.finalize("fig06");
@@ -322,7 +296,7 @@ TEST(ProfilerInvariant, Fig06UnderSeededFaults) {
     Profiler profiler(make_trace_meta(lib, cfg, {"A", "B"}));
     cfg.rt.sink = &profiler;
     rispp::sim::Simulator sim(borrow(lib), cfg);
-    add_fig06_tasks(sim, lib);
+    sim_scenarios::add_all(sim, sim_scenarios::fig06(lib));
     sim.run();
     const auto r = profiler.finalize("fig06-faults");
     expect_attribution(r);
@@ -350,7 +324,7 @@ TEST(ProfilerInvariant, BucketSamplesAreMonotone) {
   Profiler profiler(make_trace_meta(lib, cfg, {"A", "B"}));
   cfg.rt.sink = &profiler;
   rispp::sim::Simulator sim(borrow(lib), cfg);
-  add_fig06_tasks(sim, lib);
+  sim_scenarios::add_all(sim, sim_scenarios::fig06(lib));
   sim.run();
   const auto& samples = profiler.bucket_samples();
   ASSERT_FALSE(samples.empty());

@@ -15,6 +15,7 @@
 #include "rispp/sim/observe.hpp"
 #include "rispp/sim/simulator.hpp"
 #include "rispp/util/error.hpp"
+#include "sim_scenarios.hpp"
 
 namespace {
 
@@ -72,39 +73,13 @@ TEST(Json, StringEscapesRoundTrip) {
 RunReport run_fig06_report() {
   using namespace rispp::sim;
   const auto lib = rispp::isa::SiLibrary::h264();
-  const auto satd = lib.index_of("SATD_4x4");
-  const auto si0 = lib.index_of("HT_2x2");
-  const auto si1 = lib.index_of("HT_4x4");
   SimConfig cfg;
   cfg.rt.atom_containers = 6;
   cfg.quantum = 25000;
   Profiler profiler(make_trace_meta(lib, cfg, {"A", "B"}));
   cfg.rt.sink = &profiler;
   Simulator sim(borrow(lib), cfg);
-
-  Trace a;
-  a.push_back(TraceOp::label("T0: steady state — A forecasts SATD_4x4"));
-  a.push_back(TraceOp::forecast(satd, 5000));
-  for (int i = 0; i < 120; ++i) {
-    a.push_back(TraceOp::compute(10000));
-    a.push_back(TraceOp::si(satd, 50));
-  }
-  Trace b;
-  b.push_back(TraceOp::forecast(si0, 50));
-  b.push_back(TraceOp::compute(700000));
-  b.push_back(TraceOp::si(si0, 20));
-  b.push_back(TraceOp::label("T1: B forecasts the more important SI1"));
-  b.push_back(TraceOp::forecast(si1, 2000000));
-  for (int i = 0; i < 8; ++i) {
-    b.push_back(TraceOp::compute(40000));
-    b.push_back(TraceOp::si(si1, 100));
-  }
-  b.push_back(TraceOp::label("T2: forecast states SI1 no longer needed"));
-  b.push_back(TraceOp::release(si1));
-  b.push_back(TraceOp::label("T3: B's SI0 reuses containers now owned by A"));
-  b.push_back(TraceOp::si(si0, 20));
-  sim.add_task({"A", std::move(a)});
-  sim.add_task({"B", std::move(b)});
+  sim_scenarios::add_all(sim, sim_scenarios::fig06(lib));
   (void)sim.run();
   return profiler.finalize("fig06");
 }

@@ -1,4 +1,4 @@
-/// Observability layer: event sinks, metrics registry, exporters (golden
+/// Observability layer: event sinks, exporters (golden
 /// Chrome-trace file, CSV round-trip), trace summarization, and end-to-end
 /// instrumentation of the simulator + run-time manager.
 
@@ -11,7 +11,6 @@
 
 #include "rispp/obs/chrome_trace.hpp"
 #include "rispp/obs/csv_trace.hpp"
-#include "rispp/obs/metrics.hpp"
 #include "rispp/obs/summary.hpp"
 #include "rispp/sim/observe.hpp"
 #include "rispp/sim/simulator.hpp"
@@ -76,40 +75,6 @@ TEST(TraceMetaNames, FallBackToIndexed) {
   EXPECT_EQ(meta.si_name(7), "si#7");
   EXPECT_EQ(meta.task_name(3), "task#3");
   EXPECT_EQ(meta.atom_name(-1), "atom#-1");
-}
-
-TEST(MetricsRegistry, CountersAccumulatorsHistograms) {
-  MetricsRegistry reg;
-  reg.bump("rotations");
-  reg.bump("rotations", 4);
-  EXPECT_EQ(reg.counter("rotations"), 5u);
-  EXPECT_EQ(reg.counter("missing"), 0u);
-
-  reg.accumulator("latency").add(10.0);
-  reg.accumulator("latency").add(20.0);
-  EXPECT_DOUBLE_EQ(reg.accumulator("latency").mean(), 15.0);
-
-  auto& h = reg.histogram("lat_hist", 0.0, 100.0, 10);
-  h.add(42.0);
-  EXPECT_EQ(reg.histogram("lat_hist", 0.0, 100.0, 10).total(), 1u);
-  EXPECT_THROW(reg.histogram("lat_hist", 0.0, 50.0, 10), PreconditionError);
-
-  const auto text = reg.summary();
-  EXPECT_NE(text.find("rotations 5"), std::string::npos);
-  EXPECT_NE(text.find("latency n=2"), std::string::npos);
-}
-
-TEST(MetricsSink, FoldsEventStream) {
-  MetricsRegistry reg;
-  MetricsSink sink(reg, tiny_meta());
-  for (const auto& e : tiny_stream()) sink.on_event(e);
-  EXPECT_EQ(reg.counter("events.si-executed"), 2u);
-  EXPECT_EQ(reg.counter("exec.hw"), 1u);
-  EXPECT_EQ(reg.counter("exec.sw"), 1u);
-  EXPECT_EQ(reg.accumulator("si.SATD.cycles").count(), 2u);
-  EXPECT_DOUBLE_EQ(reg.accumulator("rotation.cycles").mean(), 500.0);
-  // Forecast at cycle 0, upgrade at 700 → gap 700.
-  EXPECT_DOUBLE_EQ(reg.accumulator("si.SATD.upgrade_gap").mean(), 700.0);
 }
 
 TEST(CsvTrace, RoundTripsEventsAndNames) {

@@ -130,6 +130,21 @@ TEST_F(Containers, FailureBackoffSaturatesInsteadOfWrapping) {
   EXPECT_EQ(cf.at(1).blocked_until, kMax);
 }
 
+TEST_F(Containers, SaturatedBackoffBlocksForGood) {
+  // A window saturated at the largest Cycle never ends: the container stays
+  // blocked even at that cycle, and its expiry is no wakeup source.
+  constexpr Cycle kMax = std::numeric_limits<Cycle>::max();
+  ContainerFile cf(2, cat_);
+  cf.start_rotation(0, quadsub_, 10, kNoTask);
+  EXPECT_FALSE(cf.on_rotation_failed(0, quadsub_, kMax - 5, 3, 1000));
+  ASSERT_EQ(cf.at(0).blocked_until, kMax);
+  EXPECT_TRUE(cf.at(0).blocked(kMax));
+  EXPECT_FALSE(cf.next_unblock_after(0).has_value());
+  EXPECT_FALSE(cf.unblocked_in(0, kMax));
+  // Both containers are empty; only the unblocked one may be targeted.
+  EXPECT_EQ(cf.choose_victim(cat_.zero(), kMax, lru_), 1u);
+}
+
 TEST_F(Containers, AggregationCountsInstances) {
   ContainerFile cf(3, cat_);
   cf.start_rotation(0, transform_, 10, kNoTask);

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "rispp/hw/fault.hpp"
@@ -174,6 +175,20 @@ TEST(FaultScheduler, CancelledFaultyBookingIsNeverDelivered) {
   EXPECT_EQ(sched.rotations_cancelled(), 1u);
 }
 
+TEST(FaultScheduler, BookingNearTheLargestCycleSaturates) {
+  // A transfer booked within its own duration of the largest Cycle ends at
+  // the end of time instead of wrapping to a done before its start.
+  constexpr Cycle kMax = std::numeric_limits<Cycle>::max();
+  const auto lib = rispp::isa::parse_si_library(kOneAtomLibrary);
+  RotationScheduler sched(ReconfigPort{}, 100.0);
+  const auto late = sched.schedule(kMax - 10, 0, lib.catalog(), 0);
+  EXPECT_EQ(late.start, kMax - 10);
+  EXPECT_EQ(late.done, kMax);
+  const auto queued = sched.schedule(kMax - 5, 0, lib.catalog(), 1);
+  EXPECT_EQ(queued.start, kMax);
+  EXPECT_EQ(queued.done, kMax);
+}
+
 // --- RisppManager reaction ----------------------------------------------
 
 /// Polls the manager at every wakeup until the platform settles.
@@ -234,6 +249,47 @@ TEST(FaultRecovery, FailedRotationBacksOffThenRetriesAndRecovers) {
   EXPECT_TRUE(mgr.execute(lib.index_of("XA"), end + 1).hardware);
   EXPECT_EQ(mgr.containers().at(0).fail_streak, 0u);
   rotation_lifecycle::expect_closed(mgr, recorder);
+}
+
+TEST(FaultRecovery, SaturatedBackoffNeverBooksAWrappingRotation) {
+  // Every transfer fails and the backoff base is 2^63, so the second
+  // failure saturates blocked_until at the largest Cycle. A host polling at
+  // each next_wakeup() must never see a booking whose end lies before its
+  // start (a poll at 2^64-1 used to book one whose done wrapped).
+  constexpr Cycle kMax = std::numeric_limits<Cycle>::max();
+  const auto lib = rispp::isa::parse_si_library(kOneAtomLibrary);
+  RtConfig cfg;
+  cfg.atom_containers = 1;
+  cfg.faults = FaultModel::probabilistic(11, 1.0);
+  cfg.max_rotation_retries = 8;
+  cfg.retry_backoff_cycles = Cycle{1} << 63;
+  TraceRecorder recorder;
+  cfg.sink = &recorder;
+  RisppManager mgr(borrow(lib), cfg);
+
+  mgr.forecast(lib.index_of("XA"), 1000, 1.0, 0);
+  Cycle t = 0;
+  for (int guard = 0; guard < 16; ++guard) {
+    const auto wake = mgr.next_wakeup(t);
+    if (!wake) break;
+    ASSERT_GT(*wake, t);
+    t = *wake;
+    mgr.poll(t);
+    const auto& ac = mgr.containers().at(0);
+    if (ac.loading) {
+      EXPECT_GE(ac.ready_at, t) << "rotation booked at " << t << " wrapped";
+    }
+  }
+  mgr.flush_events();
+  for (const auto& e : recorder.events()) {
+    if (e.kind == EventKind::RotationStarted) {
+      EXPECT_LE(e.cycles, kMax - e.at)
+          << "RotationStarted at " << e.at << " ends past the largest Cycle";
+    }
+  }
+  EXPECT_EQ(mgr.containers().at(0).blocked_until, kMax);
+  EXPECT_TRUE(mgr.containers().at(0).blocked(kMax));
+  EXPECT_EQ(mgr.rotations_performed(), 2u);
 }
 
 TEST(FaultRecovery, PoisonedTransferCountsSeparately) {

@@ -14,6 +14,7 @@
 #include "rispp/rt/manager.hpp"
 #include "rispp/sim/observe.hpp"
 #include "rispp/sim/simulator.hpp"
+#include "sim_scenarios.hpp"
 
 namespace {
 
@@ -29,52 +30,15 @@ std::string read_file(const std::string& path) {
   return ss.str();
 }
 
-/// The exact Fig-6 scenario of bench/fig06_runtime_scenario.cpp (two H.264
-/// tasks on six shared containers) — the seed's recorded trace for it is
-/// checked in under tests/data/.
-void add_fig06_tasks(Simulator& sim, const rispp::isa::SiLibrary& lib) {
-  const auto satd = lib.index_of("SATD_4x4");
-  const auto si0 = lib.index_of("HT_2x2");
-  const auto si1 = lib.index_of("HT_4x4");
-
-  Trace a;
-  a.push_back(TraceOp::label("T0: steady state — A forecasts SATD_4x4"));
-  a.push_back(TraceOp::forecast(satd, 5000));
-  for (int i = 0; i < 120; ++i) {
-    a.push_back(TraceOp::compute(10000));
-    a.push_back(TraceOp::si(satd, 50));
-  }
-
-  Trace b;
-  b.push_back(TraceOp::forecast(si0, 50));
-  b.push_back(TraceOp::compute(700000));
-  b.push_back(TraceOp::si(si0, 20));
-  b.push_back(TraceOp::label("T1: B forecasts the more important SI1"));
-  b.push_back(TraceOp::forecast(si1, 2000000));
-  for (int i = 0; i < 8; ++i) {
-    b.push_back(TraceOp::compute(40000));
-    b.push_back(TraceOp::si(si1, 100));
-  }
-  b.push_back(TraceOp::label("T2: forecast states SI1 no longer needed"));
-  b.push_back(TraceOp::release(si1));
-  b.push_back(TraceOp::label("T3: B's SI0 reuses containers now owned by A"));
-  b.push_back(TraceOp::si(si0, 20));
-
-  sim.add_task({"A", std::move(a)});
-  sim.add_task({"B", std::move(b)});
-}
-
-std::string run_fig06_csv(bool poll_every_switch, const std::string& path) {
+std::string run_fig06_csv(const std::string& path) {
   const auto lib = rispp::isa::SiLibrary::h264();
   rispp::obs::TraceRecorder recorder;
   SimConfig cfg;
   cfg.rt.atom_containers = 6;
   cfg.quantum = 25000;
   cfg.rt.sink = &recorder;
-  cfg.driving =
-      poll_every_switch ? Driving::PollEverySwitch : Driving::Wakeups;
   Simulator sim(borrow(lib), cfg);
-  add_fig06_tasks(sim, lib);
+  sim_scenarios::add_all(sim, sim_scenarios::fig06(lib));
   (void)sim.run();
   rispp::obs::write_trace_file(path, recorder.events(),
                                make_trace_meta(lib, cfg, {"A", "B"}));
@@ -83,20 +47,12 @@ std::string run_fig06_csv(bool poll_every_switch, const std::string& path) {
 
 TEST(KernelGoldenTrace, Fig06EventStreamMatchesSeedByteForByte) {
   const auto csv =
-      run_fig06_csv(false, ::testing::TempDir() + "rispp_fig06_wakeup.csv");
+      run_fig06_csv(::testing::TempDir() + "rispp_fig06_wakeup.csv");
   const auto golden = read_file(std::string(RISPP_TEST_DATA_DIR) +
                                 "/fig06_golden.csv");
   ASSERT_FALSE(golden.empty());
   EXPECT_EQ(csv, golden)
       << "refactored kernel diverged from the seed fig06 event stream";
-}
-
-TEST(KernelGoldenTrace, WakeupDrivingEqualsEverySwitchPolling) {
-  const auto wakeup =
-      run_fig06_csv(false, ::testing::TempDir() + "rispp_fig06_w.csv");
-  const auto polled =
-      run_fig06_csv(true, ::testing::TempDir() + "rispp_fig06_p.csv");
-  EXPECT_EQ(wakeup, polled);
 }
 
 class PlanCache : public ::testing::Test {

@@ -1,8 +1,8 @@
-/// Scheduler-overhaul tests: the runnable-task ring must be scheduling-
-/// equivalent to the seed's linear O(T) scan at stress scale, TaskSwitch
+/// Scheduler tests: a re-run over finished tasks is a no-op, TaskSwitch
 /// events must only appear for quanta that consume cycles, and the batched
 /// emission path must hold up across concurrent simulators (run under TSan
-/// via the `concurrency` label).
+/// via the `concurrency` label). Equivalence with the seed's linear scan
+/// and every-switch polling is checked in sim_reference_test.cpp.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +12,7 @@
 
 #include "rispp/obs/event.hpp"
 #include "rispp/sim/simulator.hpp"
+#include "sim_scenarios.hpp"
 
 namespace {
 
@@ -21,78 +22,6 @@ using rispp::obs::Event;
 using rispp::obs::EventKind;
 using rispp::obs::TraceRecorder;
 
-/// Mixed stress workload: `count` tasks, every fourth a short early
-/// finisher, every seventh pure bookkeeping (forecast + label only), the
-/// rest forecast→execute→release loops — a ragged done/runnable mix that
-/// exercises ring unlinking at scale.
-void add_stress_tasks(Simulator& sim, const SiLibrary& lib, int count) {
-  const auto satd = lib.index_of("SATD_4x4");
-  const auto dct = lib.index_of("DCT_4x4");
-  for (int t = 0; t < count; ++t) {
-    Trace tr;
-    if (t % 7 == 0) {
-      tr.push_back(TraceOp::forecast(t % 2 ? satd : dct, 50));
-      tr.push_back(TraceOp::label("bookkeeping-only task"));
-    } else if (t % 4 == 0) {
-      tr.push_back(TraceOp::compute(500));
-    } else {
-      tr.push_back(TraceOp::forecast(t % 2 ? satd : dct, 200));
-      for (int i = 0; i < 5; ++i) {
-        tr.push_back(TraceOp::compute(2000));
-        tr.push_back(TraceOp::si(t % 2 ? satd : dct, 4));
-      }
-      tr.push_back(TraceOp::release(t % 2 ? satd : dct));
-    }
-    sim.add_task({"t" + std::to_string(t), std::move(tr)});
-  }
-}
-
-SimResult run_stress(const SiLibrary& lib, int tasks, Scheduler scheduler,
-                     Driving driving, TraceRecorder* recorder) {
-  SimConfig cfg;
-  cfg.rt.atom_containers = 6;
-  cfg.quantum = 3000;
-  cfg.scheduler = scheduler;
-  cfg.driving = driving;
-  cfg.rt.sink = recorder;
-  Simulator sim(borrow(lib), cfg);
-  add_stress_tasks(sim, lib, tasks);
-  return sim.run();
-}
-
-TEST(SchedulerDifferential, RingMatchesLinearScanAt512Tasks) {
-  const auto lib = SiLibrary::h264();
-  TraceRecorder ring_rec, linear_rec;
-  const auto ring = run_stress(lib, 512, Scheduler::RunnableRing,
-                               Driving::Wakeups, &ring_rec);
-  const auto linear = run_stress(lib, 512, Scheduler::LinearScan,
-                                 Driving::Wakeups, &linear_rec);
-
-  EXPECT_EQ(ring.total_cycles, linear.total_cycles);
-  EXPECT_EQ(ring.task_cycles, linear.task_cycles);
-  EXPECT_EQ(ring.rotations, linear.rotations);
-  EXPECT_EQ(ring.energy_total_nj, linear.energy_total_nj);
-  ASSERT_EQ(ring_rec.events().size(), linear_rec.events().size());
-  EXPECT_TRUE(ring_rec.events() == linear_rec.events())
-      << "ring and linear-scan schedulers diverged in the event stream";
-}
-
-TEST(SchedulerDifferential, FastKernelMatchesSeedEquivalentDriving) {
-  // Full fast path (ring + wakeup-horizon cache) against the full
-  // seed-equivalent path (linear scan + poll-every-switch): identical
-  // behaviour, not just identical totals.
-  const auto lib = SiLibrary::h264();
-  TraceRecorder fast_rec, seed_rec;
-  const auto fast = run_stress(lib, 96, Scheduler::RunnableRing,
-                               Driving::Wakeups, &fast_rec);
-  const auto seed = run_stress(lib, 96, Scheduler::LinearScan,
-                               Driving::PollEverySwitch, &seed_rec);
-  EXPECT_EQ(fast.total_cycles, seed.total_cycles);
-  EXPECT_EQ(fast.task_cycles, seed.task_cycles);
-  EXPECT_EQ(fast.rotations, seed.rotations);
-  EXPECT_TRUE(fast_rec.events() == seed_rec.events());
-}
-
 TEST(SchedulerDifferential, RerunAfterCompletionIsANoop) {
   // A second run() starts with every task finished: the ring is built
   // empty and the result must be the settled state, not a crash or replay.
@@ -100,7 +29,7 @@ TEST(SchedulerDifferential, RerunAfterCompletionIsANoop) {
   SimConfig cfg;
   cfg.rt.atom_containers = 4;
   Simulator sim(borrow(lib), cfg);
-  add_stress_tasks(sim, lib, 8);
+  sim_scenarios::add_all(sim, sim_scenarios::stress(lib, 8));
   const auto first = sim.run();
   const auto second = sim.run();
   EXPECT_EQ(second.total_cycles, first.total_cycles);
@@ -204,7 +133,7 @@ TEST(BatchedEmission, ConcurrentSimulatorsProduceIdenticalStreams) {
         cfg.quantum = 3000;
         cfg.rt.sink = &recorders[i];
         Simulator sim(lib, cfg);
-        add_stress_tasks(sim, *lib, 48);
+        sim_scenarios::add_all(sim, sim_scenarios::stress(*lib, 48));
         results[i] = sim.run();
       });
     for (auto& t : threads) t.join();
