@@ -3,9 +3,10 @@
 /// ROADMAP item 2's metric: how fast does the simulator kernel itself run?
 /// The bench replays the Fig-6 two-task scenario (the same workload every
 /// golden trace and the profiler bench use) plus a many-task contention
-/// scenario, and reports simulated cycles / second, best-of-N so scheduler
+/// scenario along a task-count axis (64, 512, 2048 and 8192 simulated
+/// tasks), and reports simulated cycles / second, best-of-N so scheduler
 /// noise on a shared host is filtered out. Results go to stdout and
-/// BENCH_kernel.json; CI runs a small-rep smoke so the number stays wired.
+/// BENCH_kernel.json; CI runs the `--quick` smoke so the numbers stay wired.
 ///
 /// Configurations measured per scenario:
 ///   * fast    — the kernel (runnable-ring scheduler, cached wakeup
@@ -17,11 +18,14 @@
 /// kernel against the seed-equivalent reference driver on both scenarios,
 /// event for event, so this bench only measures.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "rispp/bench/meta_block.hpp"
 #include "rispp/sim/simulator.hpp"
@@ -89,6 +93,7 @@ enum class Scenario { Fig06, ManyTask };
 struct Measurement {
   std::uint64_t sim_cycles = 0;
   std::uint64_t rotations = 0;
+  std::uint64_t plans = 0;  ///< selector plan() runs
   double best_ms = 1e300;
   double cps = 0;  ///< simulated cycles per wall-clock second
 };
@@ -111,6 +116,7 @@ Measurement measure(const rispp::isa::SiLibrary& lib, Scenario scenario,
     m.best_ms = std::min(m.best_ms, ms);
     m.sim_cycles = r.total_cycles;
     m.rotations = r.rotations;
+    m.plans = sim.manager().counters().get("selector_plans");
   }
   m.cps = m.best_ms > 0
               ? static_cast<double>(m.sim_cycles) / (m.best_ms / 1000.0)
@@ -125,32 +131,41 @@ int main(int argc, char** argv) try {
 
   const char* out_path = "BENCH_kernel.json";
   int reps = 40;
-  int many = 512;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--out=", 0) == 0) out_path = argv[i] + 6;
     if (arg.rfind("--reps=", 0) == 0) reps = std::stoi(arg.substr(7));
-    if (arg.rfind("--tasks=", 0) == 0) many = std::stoi(arg.substr(8));
+    if (arg == "--quick") reps = 3;
   }
+  // Simulated tasks, not threads: the simulator runs them all on one. The
+  // 512-task point is the headline that the many_task_* fields report.
+  const int kTaskAxis[] = {64, 512, 2048, 8192};
 
   const auto lib = rispp::isa::SiLibrary::h264();
   NullSink null_sink;
 
   const auto fig06 = measure(lib, Scenario::Fig06, 0, reps, nullptr);
   const auto fig06_sink = measure(lib, Scenario::Fig06, 0, reps, &null_sink);
-  const auto mt = measure(lib, Scenario::ManyTask, many, reps, nullptr);
+  std::vector<std::pair<int, Measurement>> axis;
+  for (const int tasks : kTaskAxis)
+    axis.emplace_back(tasks,
+                      measure(lib, Scenario::ManyTask, tasks, reps, nullptr));
+  const auto& [many, mt] = axis[1];
 
-  TextTable t{"scenario", "kernel", "sim cycles", "best wall [ms]",
+  TextTable t{"scenario", "kernel", "sim cycles", "plans", "best wall [ms]",
               "Mcycles/s"};
   t.set_title("Kernel throughput (best of " + std::to_string(reps) +
               " runs)");
-  const auto row = [&](const char* sc, const char* k, const Measurement& m) {
+  const auto row = [&](const std::string& sc, const char* k,
+                       const Measurement& m) {
     t.add_row({sc, k, TextTable::grouped(static_cast<long long>(m.sim_cycles)),
+               TextTable::grouped(static_cast<long long>(m.plans)),
                TextTable::num(m.best_ms, 3), TextTable::num(m.cps / 1e6, 1)});
   };
   row("fig06", "fast", fig06);
   row("fig06", "fast+sink", fig06_sink);
-  row(("many-task (" + std::to_string(many) + ")").c_str(), "fast", mt);
+  for (const auto& [tasks, m] : axis)
+    row("many-task (" + std::to_string(tasks) + ")", "fast", m);
   std::cout << t.str();
 
   std::ofstream json(out_path);
@@ -165,7 +180,19 @@ int main(int argc, char** argv) try {
        << "  \"fig06_sink_cps\": " << fig06_sink.cps << ",\n"
        << "  \"many_task_count\": " << many << ",\n"
        << "  \"many_task_sim_cycles\": " << mt.sim_cycles << ",\n"
-       << "  \"many_task_cps\": " << mt.cps << "\n"
+       << "  \"many_task_cps\": " << mt.cps << ",\n"
+       << "  \"fig06_over_many_task\": "
+       << (mt.cps > 0 ? fig06.cps / mt.cps : 0) << ",\n"
+       << "  \"many_task_axis\": [";
+  for (std::size_t i = 0; i < axis.size(); ++i) {
+    const auto& [tasks, m] = axis[i];
+    json << (i ? "," : "") << "\n    {\"tasks\": " << tasks
+         << ", \"sim_cycles\": " << m.sim_cycles
+         << ", \"rotations\": " << m.rotations
+         << ", \"selector_plans\": " << m.plans << ", \"cps\": " << m.cps
+         << "}";
+  }
+  json << "\n  ]\n"
        << "}\n";
   std::cout << "Wrote " << out_path << "\n";
   return 0;

@@ -28,6 +28,8 @@ ContainerFile::ContainerFile(unsigned count, const isa::AtomCatalog& catalog)
   RISPP_REQUIRE(count > 0, "need at least one atom container");
   containers_.resize(count);
   for (unsigned i = 0; i < count; ++i) containers_[i].id = i;
+  touch_order_.reserve(count);
+  touch_remaining_.reserve(catalog.size());
 }
 
 const AtomContainer& ContainerFile::at(unsigned i) const {
@@ -147,14 +149,22 @@ void ContainerFile::touch(const atom::Molecule& used, Cycle now) {
   // repeated touches of a partially-used kind cycle through its instances
   // and keep the timestamps coherent instead of re-marking the same ids.
   // Runs once per SI execution: the order/remaining scratch is reused
-  // across calls so the hot path makes no allocations.
+  // across calls and the order is a stable insertion sort in place
+  // (std::stable_sort allocates a temporary buffer), so the hot path makes
+  // no allocations.
   auto& order = touch_order_;
   order.clear();
-  for (const auto& c : containers_)
-    if (c.atom && !c.loading) order.push_back(c.id);
-  std::stable_sort(order.begin(), order.end(), [&](unsigned a, unsigned b) {
-    return containers_[a].last_used < containers_[b].last_used;
-  });
+  for (const auto& c : containers_) {
+    if (!c.atom || c.loading) continue;
+    // Shift the later-used entries up; equal timestamps keep id order.
+    std::size_t pos = order.size();
+    order.push_back(c.id);
+    while (pos > 0 && containers_[order[pos - 1]].last_used > c.last_used) {
+      order[pos] = order[pos - 1];
+      --pos;
+    }
+    order[pos] = c.id;
+  }
 
   auto& remaining = touch_remaining_;
   remaining.assign(used.counts().begin(), used.counts().end());

@@ -189,7 +189,9 @@ class RisppManager {
     return rotations_.rotations_cancelled();
   }
   /// Active (not yet released) forecast demands, aggregated per SI across
-  /// tasks (weights sum; the selector sees one demand per SI).
+  /// tasks (weights sum; the selector sees one demand per SI), in SI order.
+  /// A copy of per-SI aggregates that forecast() and forecast_release()
+  /// re-fold for their SI only.
   std::vector<ForecastDemand> active_demands() const;
   /// Expectation the monitor currently holds for an SI (compile-time value
   /// blended with observed behaviour); nullopt if never forecasted.
@@ -225,6 +227,8 @@ class RisppManager {
   /// load is never promoted to a usable Atom. A dead branch with the
   /// default none() fault model.
   void process_failures(Cycle now);
+  /// Re-folds SI `si`'s run of active_ into merged_[si].
+  void refold(std::size_t si);
 
   std::shared_ptr<const isa::SiLibrary> lib_;
   RtConfig cfg_;
@@ -243,11 +247,18 @@ class RisppManager {
 
   struct DemandState {
     ForecastDemand demand;
-    std::uint64_t observed_executions = 0;  ///< since the forecast fired
+    /// executions_[si] when the forecast fired: the window has observed
+    /// executions_[si] - execution_mark executions since.
+    std::uint64_t execution_mark = 0;
   };
   /// Keyed by (SI index, forecasting task) — quasi-parallel tasks hold
   /// independent demands on the same SI.
   std::map<std::pair<std::size_t, int>, DemandState> active_;
+  /// By SI: the aggregate of its active windows (see active_demands()),
+  /// nullopt while it has none. Kept current by forecast/forecast_release.
+  std::vector<std::optional<ForecastDemand>> merged_;
+  /// By SI: execute() calls so far, the clock the window marks read.
+  std::vector<std::uint64_t> executions_;
   std::map<std::size_t, double> learned_;  ///< EWMA over release cycles
   /// Last observed execution latency keyed per (SI, executing task) —
   /// detects the SW→HW→faster-HW transitions reported as MoleculeUpgraded

@@ -57,6 +57,8 @@ RisppManager::RisppManager(std::shared_ptr<const isa::SiLibrary> lib,
       replacer_(cfg_.replacement_policy),
       energy_(cfg_.power, cfg_.clock_mhz),
       batch_(cfg_.sink),
+      merged_(lib_->size()),
+      executions_(lib_->size()),
       exec_memo_(lib_->size()) {}
 
 void RisppManager::forecast(std::size_t si, double expected_executions,
@@ -75,7 +77,8 @@ void RisppManager::forecast(std::size_t si, double expected_executions,
 
   auto& state = active_[{si, task}];
   state.demand = ForecastDemand{si, expectation, probability, task};
-  state.observed_executions = 0;
+  state.execution_mark = executions_[si];
+  refold(si);
   ++demand_generation_;  // dirties the cached plan
 
   counters_.bump("forecasts");
@@ -95,7 +98,7 @@ void RisppManager::forecast_release(std::size_t si, Cycle now, int task) {
 
   // Learn from this window: what did the SI actually execute?
   const double observed =
-      static_cast<double>(it->second.observed_executions);
+      static_cast<double>(executions_[si] - it->second.execution_mark);
   if (const auto l = learned_.find(si); l != learned_.end())
     l->second = cfg_.learning_rate * observed +
                 (1.0 - cfg_.learning_rate) * l->second;
@@ -103,6 +106,7 @@ void RisppManager::forecast_release(std::size_t si, Cycle now, int task) {
     learned_[si] = observed;
 
   active_.erase(it);
+  refold(si);
   ++demand_generation_;  // dirties the cached plan
   counters_.bump("forecast_releases");
   if (batch_.enabled())
@@ -316,11 +320,9 @@ RisppManager::ExecResult RisppManager::execute(std::size_t si, Cycle now,
   energy_.advance_leakage(now, loaded_slices());
 
   // Monitoring: an execution counts against every active window for this
-  // SI (the task parameter attributes container ownership, not usage).
-  // active_ is ordered by (si, task), so this SI's windows are one run.
-  for (auto it = active_.lower_bound({si, std::numeric_limits<int>::min()});
-       it != active_.end() && it->first.first == si; ++it)
-    ++it->second.observed_executions;
+  // SI (the task parameter attributes container ownership, not usage);
+  // each window reads its count off this clock against its mark.
+  ++executions_[si];
 
   // Fastest-supported lookup, allocation-free: right after refresh(now) the
   // incremental usable_atoms() view equals available_atoms(now), the
@@ -386,25 +388,32 @@ atom::Molecule RisppManager::available_atoms(Cycle now) {
   return containers_.available_atoms(now);
 }
 
-std::vector<ForecastDemand> RisppManager::active_demands() const {
+void RisppManager::refold(std::size_t si) {
   // Aggregate per SI: weights (expectation × probability) sum across tasks;
   // ownership goes to the heaviest contributor. active_ is ordered by
-  // (si, task), so each SI's windows form one run and merge in place.
-  std::vector<ForecastDemand> out;
-  out.reserve(lib_->size());
-  for (const auto& [key, state] : active_) {
-    const auto& d = state.demand;
-    if (out.empty() || out.back().si_index != key.first) {
-      out.push_back(d);
+  // (si, task), so the SI's windows form one run and merge in task order.
+  auto& merged = merged_[si];
+  merged.reset();
+  for (auto it = active_.lower_bound({si, std::numeric_limits<int>::min()});
+       it != active_.end() && it->first.first == si; ++it) {
+    const auto& d = it->second.demand;
+    if (!merged) {
+      merged = d;
       // Normalize so weight() is preserved under probability = 1.
-      out.back().expected_executions = d.weight();
-      out.back().probability = 1.0;
+      merged->expected_executions = d.weight();
+      merged->probability = 1.0;
       continue;
     }
-    auto& merged = out.back();
-    if (d.weight() > merged.expected_executions) merged.task = d.task;
-    merged.expected_executions += d.weight();
+    if (d.weight() > merged->expected_executions) merged->task = d.task;
+    merged->expected_executions += d.weight();
   }
+}
+
+std::vector<ForecastDemand> RisppManager::active_demands() const {
+  std::vector<ForecastDemand> out;
+  out.reserve(lib_->size());
+  for (const auto& merged : merged_)
+    if (merged) out.push_back(*merged);
   return out;
 }
 

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "rispp/rt/container.hpp"
 #include "rispp/rt/policy.hpp"
 #include "rispp/util/error.hpp"
+#include "rispp/util/rng.hpp"
 
 namespace {
 
@@ -198,6 +202,61 @@ TEST_F(Containers, TouchMarksLeastRecentlyUsedInstanceFirst) {
   EXPECT_EQ(cf.at(0).last_used, 400u);
   EXPECT_EQ(cf.at(1).last_used, 200u);
   EXPECT_EQ(cf.at(2).last_used, 300u);
+}
+
+/// touch() as first written: the usable containers in id order,
+/// std::stable_sort'ed by last_used, then one container marked per required
+/// instance. Returns every container's last_used afterwards.
+std::vector<Cycle> stable_sort_touch(const ContainerFile& cf,
+                                     const rispp::atom::Molecule& used,
+                                     Cycle now) {
+  std::vector<unsigned> order;
+  std::vector<Cycle> last_used;
+  for (unsigned i = 0; i < cf.size(); ++i) {
+    if (cf.at(i).atom && !cf.at(i).loading) order.push_back(i);
+    last_used.push_back(cf.at(i).last_used);
+  }
+  std::stable_sort(order.begin(), order.end(), [&](unsigned a, unsigned b) {
+    return cf.at(a).last_used < cf.at(b).last_used;
+  });
+  std::vector<rispp::atom::Count> remaining(used.counts().begin(),
+                                            used.counts().end());
+  for (const auto id : order)
+    if (remaining[*cf.at(id).atom] > 0) {
+      --remaining[*cf.at(id).atom];
+      last_used[id] = now;
+    }
+  return last_used;
+}
+
+TEST_F(Containers, TouchMatchesStableSortReference) {
+  // Few kinds over many containers, so one kind has several instances;
+  // short transfers and steps of 0–2 cycles, so some containers are
+  // loading and many timestamps tie at every touch.
+  const std::size_t kinds[] = {quadsub_, pack_, transform_};
+  rispp::util::Xoshiro256 rng(2024);
+  for (int run = 0; run < 50; ++run) {
+    ContainerFile cf(1 + static_cast<unsigned>(rng.below(12)), cat_);
+    Cycle now = 0;
+    for (int step = 0; step < 200; ++step) {
+      SCOPED_TRACE("run " + std::to_string(run) + ", step " +
+                   std::to_string(step));
+      now += rng.below(3);
+      if (rng.below(3) == 0) {
+        const auto c = static_cast<unsigned>(rng.below(cf.size()));
+        cf.start_rotation(c, kinds[rng.below(3)], now + rng.below(4),
+                          kNoTask);
+      }
+      cf.refresh(now);
+      rispp::atom::Molecule used(cat_.size());
+      for (std::size_t k = 0; k < used.dimension(); ++k)
+        used.set(k, static_cast<rispp::atom::Count>(rng.below(4)));
+      const auto want = stable_sort_touch(cf, used, now);
+      cf.touch(used, now);
+      for (unsigned i = 0; i < cf.size(); ++i)
+        ASSERT_EQ(cf.at(i).last_used, want[i]) << "container " << i;
+    }
+  }
 }
 
 TEST_F(Containers, CommittedAtomsStayConsistentAcrossRotations) {

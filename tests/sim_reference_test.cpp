@@ -14,7 +14,8 @@
 /// kernel_throughput shape, 200 generated libraries each with its
 /// generated workload (fault-free and under probabilistic faults), and the
 /// phased_small workload. The H.264 enc+dec co-run pins the kernel-entry
-/// and plan counts that show what wakeup driving and the plan cache save.
+/// and plan counts that show what wakeup driving and the plan cache save;
+/// KernelCounterPins pins the same counts for the many-task shape.
 
 #include <gtest/gtest.h>
 
@@ -282,6 +283,20 @@ TEST(ReferenceDriverDifferential, EncDecCoRunPinsKernelEntryCounts) {
     EXPECT_EQ(run->result.rotations, 132u);
   }
   EXPECT_TRUE(fast.events == ref.events);
+}
+
+/// bench/kernel_throughput's many-task(512) shape on the Simulator: its
+/// kernel entries, selector plans, rotations and simulated cycles are
+/// pinned, so a selection or kernel change that adds a plan or alters one
+/// fails here even when the reference driver drifts along with it.
+TEST(KernelCounterPins, ManyTaskAt512Tasks) {
+  const auto lib = rispp::isa::share(SiLibrary::h264());
+  const auto run = run_on<Simulator>(lib, contention_config(25000),
+                                     sim_scenarios::many_task(*lib, 512));
+  EXPECT_EQ(run.reallocations, 775u);
+  EXPECT_EQ(run.plans, 770u);
+  EXPECT_EQ(run.result.rotations, 6u);
+  EXPECT_EQ(run.result.total_cycles, 5041769u);
 }
 
 }  // namespace
