@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "rispp/bench/meta_block.hpp"
+#include "rispp/rt/selection.hpp"
 #include "rispp/sim/simulator.hpp"
 #include "rispp/util/table.hpp"
 
@@ -94,6 +95,7 @@ struct Measurement {
   std::uint64_t sim_cycles = 0;
   std::uint64_t rotations = 0;
   std::uint64_t plans = 0;  ///< selector plan() runs
+  rispp::rt::GreedySelector::ReplayCounts replay;  ///< how they were answered
   double best_ms = 1e300;
   double cps = 0;  ///< simulated cycles per wall-clock second
 };
@@ -117,6 +119,9 @@ Measurement measure(const rispp::isa::SiLibrary& lib, Scenario scenario,
     m.sim_cycles = r.total_cycles;
     m.rotations = r.rotations;
     m.plans = sim.manager().counters().get("selector_plans");
+    m.replay = dynamic_cast<const rispp::rt::GreedySelector&>(
+                   sim.manager().selection_policy())
+                   .replay_counts();
   }
   m.cps = m.best_ms > 0
               ? static_cast<double>(m.sim_cycles) / (m.best_ms / 1000.0)
@@ -189,8 +194,13 @@ int main(int argc, char** argv) try {
     json << (i ? "," : "") << "\n    {\"tasks\": " << tasks
          << ", \"sim_cycles\": " << m.sim_cycles
          << ", \"rotations\": " << m.rotations
-         << ", \"selector_plans\": " << m.plans << ", \"cps\": " << m.cps
-         << "}";
+         << ", \"selector_plans\": " << m.plans << ", \"plans_full\": "
+         << m.replay.full << ", \"plans_reused\": " << m.replay.reused
+         << ", \"plans_replayed\": " << m.replay.replayed
+         << ", \"plans_diverged_at\": [";
+    for (std::size_t s = 0; s < m.replay.diverged_at.size(); ++s)
+      json << (s ? ", " : "") << m.replay.diverged_at[s];
+    json << "], \"cps\": " << m.cps << "}";
   }
   json << "\n  ]\n"
        << "}\n";

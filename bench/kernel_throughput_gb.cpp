@@ -55,17 +55,43 @@ void BM_AesEncryptBlock(benchmark::State& state) {
 }
 BENCHMARK(BM_AesEncryptBlock);
 
-void BM_GreedySelection(benchmark::State& state) {
-  const auto lib = rispp::isa::SiLibrary::h264();
-  const rispp::rt::GreedySelector sel(lib);
+std::vector<rispp::rt::ForecastDemand> h264_demands(
+    const rispp::isa::SiLibrary& lib) {
   std::vector<rispp::rt::ForecastDemand> demands;
   for (std::size_t s = 0; s < lib.size(); ++s)
     demands.push_back({s, 100.0 * static_cast<double>(s + 1), 1.0, -1});
+  return demands;
+}
+
+/// A plan from scratch: each iteration uses a fresh selector, which has no
+/// previous plan to replay.
+void BM_GreedySelection(benchmark::State& state) {
+  const auto lib = rispp::isa::SiLibrary::h264();
+  const auto demands = h264_demands(lib);
   const auto budget = static_cast<std::uint64_t>(state.range(0));
-  for (auto _ : state)
+  for (auto _ : state) {
+    const rispp::rt::GreedySelector sel(lib);
     benchmark::DoNotOptimize(sel.plan(demands, budget));
+  }
 }
 BENCHMARK(BM_GreedySelection)->Arg(4)->Arg(8)->Arg(16);
+
+/// The replay path: one selector, one SI's weight alternating between two
+/// values from call to call, as a forecast and its release do.
+void BM_GreedySelectionOneSiChange(benchmark::State& state) {
+  const auto lib = rispp::isa::SiLibrary::h264();
+  const rispp::rt::GreedySelector sel(lib);
+  auto demands = h264_demands(lib);
+  const auto budget = static_cast<std::uint64_t>(state.range(0));
+  auto& changing = demands.front().expected_executions;
+  const double weights[] = {changing, 4 * changing};
+  std::size_t call = 0;
+  for (auto _ : state) {
+    changing = weights[++call % 2];
+    benchmark::DoNotOptimize(sel.plan(demands, budget));
+  }
+}
+BENCHMARK(BM_GreedySelectionOneSiChange)->Arg(4)->Arg(8)->Arg(16);
 
 void BM_SiDispatch(benchmark::State& state) {
   // Steady-state execute(): the per-invocation overhead of the run-time

@@ -77,8 +77,10 @@ class SelectionPolicy {
                              std::uint64_t containers) const = 0;
 
   /// Total expected benefit (weighted cycles saved vs all-software) of a
-  /// configuration for the given demands. Shared across implementations —
-  /// the cost-aware reallocation gate compares plans through it.
+  /// configuration for the given demands; an SI whose supported Molecule is
+  /// slower than software contributes a negative saving. Shared across
+  /// implementations — the cost-aware reallocation gate compares plans
+  /// through it.
   double benefit(const atom::Molecule& config,
                  const std::vector<ForecastDemand>& demands) const;
 

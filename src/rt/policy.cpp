@@ -12,9 +12,11 @@ double SelectionPolicy::benefit(
     const std::vector<ForecastDemand>& demands) const {
   double total = 0.0;
   for (const auto& d : demands) {
+    // As doubles: a supported Molecule may be slower than software.
     const auto cycles = lib_->cycles_with(d.si_index, config);
-    total += d.weight() * static_cast<double>(
-                              lib_->at(d.si_index).software_cycles() - cycles);
+    total += d.weight() *
+             (static_cast<double>(lib_->at(d.si_index).software_cycles()) -
+              static_cast<double>(cycles));
   }
   return total;
 }

@@ -1,8 +1,10 @@
 /// Differential oracle for run-time Molecule selection. The greedy loop
 /// builds one candidate table per plan and updates each candidate's
-/// container cost incrementally; the reference below is the straightforward
-/// formulation that re-projects every option and recomputes every cost on
-/// every step. Over random, generated and hand-built libraries, both must
+/// container cost incrementally, and a persistent GreedySelector replays its
+/// previous plan when one demand changed; the reference below is the
+/// straightforward formulation that re-projects every option and recomputes
+/// every cost on every step. Over random, generated and hand-built
+/// libraries, and over long sequences of one-demand changes, both must
 /// agree exactly: every plan step (gain compared with ==, not a tolerance),
 /// every target, every benefit value.
 
@@ -33,7 +35,8 @@ double ref_benefit(const SiLibrary& lib, const Molecule& config,
   for (const auto& d : demands) {
     const auto& si = lib.at(d.si_index);
     const auto cycles = si.cycles_with(config, cat);
-    total += d.weight() * static_cast<double>(si.software_cycles() - cycles);
+    total += d.weight() * (static_cast<double>(si.software_cycles()) -
+                           static_cast<double>(cycles));
   }
   return total;
 }
@@ -357,6 +360,116 @@ end
   EXPECT_EQ(slow_plan.steps[1].si_index, slow);
   EXPECT_EQ(slow_plan.steps[1].old_cycles, 80u);
   EXPECT_EQ(slow_plan.steps[1].new_cycles, 20u);
+  // SLOW's Q=1 Molecule alone saves a negative amount: 50 − 80 cycles.
+  const Molecule q_only{0, 1, 0, 0};
+  EXPECT_EQ(greedy.benefit(q_only, {demand(slow, 1, 0)}), -30.0);
+  EXPECT_EQ(ref_benefit(lib, q_only, {demand(slow, 1, 0)}), -30.0);
+}
+
+// --- replay: one selector across a changing demand list ------------------
+
+/// Drives one persistent GreedySelector the way a manager does: each call
+/// sees the previous call's demands with one forecast, release or weight
+/// change applied (sometimes none, sometimes several, sometimes a new
+/// budget), and every plan must equal the from-scratch reference.
+class ReplaySequence {
+ public:
+  ReplaySequence(const SiLibrary& lib, std::uint64_t seed)
+      : lib_(lib), selector_(lib), rng_(seed), budget_(rng_.below(13)) {}
+
+  void step() {
+    const auto changes = rng_.below(10) == 0 ? 2 + rng_.below(3)
+                         : rng_.below(12) == 0 ? 0
+                                               : 1;
+    for (std::uint64_t c = 0; c < changes; ++c) change();
+    if (rng_.below(25) == 0) budget_ = rng_.below(13);
+    ++calls_;
+    expect_same_plan(selector_.plan(demands_, budget_),
+                     ref_greedy_plan(lib_, demands_, budget_, nullptr),
+                     "call " + std::to_string(calls_) + ", budget " +
+                         std::to_string(budget_) + ", " +
+                         std::to_string(demands_.size()) + " demands");
+  }
+
+  const GreedySelector& selector() const { return selector_; }
+  std::uint64_t calls() const { return calls_; }
+
+ private:
+  /// Weights from a small set as well as fractional ones, so that equal
+  /// gains across SIs and across steps keep occurring.
+  double weight() {
+    if (rng_.below(3) == 0) return static_cast<double>(rng_.below(4));
+    if (rng_.below(8) == 0) return -1.0;
+    return static_cast<double>(rng_.below(3000)) / 7.0;
+  }
+
+  void change() {
+    const auto pick = rng_.below(4);
+    if (demands_.empty() || pick == 0) {  // forecast: an SI enters
+      const auto at = rng_.below(demands_.size() + 1);
+      demands_.insert(
+          demands_.begin() + static_cast<std::ptrdiff_t>(at),
+          ForecastDemand{.si_index = rng_.below(lib_.size()),
+                         .expected_executions = weight(),
+                         .probability = 1.0,
+                         .task = static_cast<int>(rng_.below(4)) - 1});
+    } else if (pick == 1) {  // release: an SI leaves
+      demands_.erase(demands_.begin() + static_cast<std::ptrdiff_t>(
+                                            rng_.below(demands_.size())));
+    } else {  // re-weighted in place, sometimes to nothing and back
+      auto& d = demands_[rng_.below(demands_.size())];
+      d.expected_executions = weight();
+      if (rng_.below(4) == 0) d.task = static_cast<int>(rng_.below(4)) - 1;
+    }
+  }
+
+  const SiLibrary& lib_;
+  GreedySelector selector_;
+  rispp::util::Xoshiro256 rng_;
+  std::uint64_t budget_;
+  std::vector<ForecastDemand> demands_;
+  std::uint64_t calls_ = 0;
+};
+
+std::uint64_t diverged(const GreedySelector::ReplayCounts& c) {
+  std::uint64_t total = 0;
+  for (const auto n : c.diverged_at) total += n;
+  return total;
+}
+
+/// Two selectors on two libraries, calls interleaved: neither may see the
+/// other's certificate. Every path of plan() must have been taken.
+void check_replay(const SiLibrary& a, const SiLibrary& b, std::uint64_t seed) {
+  ReplaySequence first(a, seed), second(b, seed * 7919 + 1);
+  for (int call = 0; call < 400; ++call) {
+    first.step();
+    second.step();
+    if (::testing::Test::HasFailure()) return;
+  }
+  for (const auto* run : {&first, &second}) {
+    const auto& c = run->selector().replay_counts();
+    EXPECT_EQ(c.full + c.reused + c.replayed + diverged(c), run->calls());
+    EXPECT_GT(c.reused, 0u);
+    EXPECT_GT(c.replayed, 0u);
+    EXPECT_GT(diverged(c), 0u);
+  }
+}
+
+class ReplayOracle : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ReplayOracle, GeneratedLibraryInterleavedWithH264Frame) {
+  SCOPED_TRACE("genlib " +
+               genlib_fixture::matrix_config(GetParam()).describe());
+  check_replay(genlib_fixture::generated_library(GetParam()),
+               SiLibrary::h264_frame(), GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(GeneratedLibraries, ReplayOracle,
+                         ::testing::Range<std::uint64_t>(1, 21));
+
+TEST(SelectionOracle, ReplayTwoSelectorsOnOneH264FrameLibrary) {
+  const auto lib = SiLibrary::h264_frame();
+  check_replay(lib, lib, 21);
 }
 
 }  // namespace

@@ -15,7 +15,8 @@
 /// generated workload (fault-free and under probabilistic faults), and the
 /// phased_small workload. The H.264 enc+dec co-run pins the kernel-entry
 /// and plan counts that show what wakeup driving and the plan cache save;
-/// KernelCounterPins pins the same counts for the many-task shape.
+/// KernelCounterPins pins the same counts for the many-task shape, and how
+/// the greedy selector answered its plans there and on phased_small.
 
 #include <gtest/gtest.h>
 
@@ -31,6 +32,7 @@
 #include "rispp/hw/fault.hpp"
 #include "rispp/isa/io.hpp"
 #include "rispp/obs/event.hpp"
+#include "rispp/rt/selection.hpp"
 #include "rispp/sim/simulator.hpp"
 #include "rispp/workload/trace_source.hpp"
 #include "sim_scenarios.hpp"
@@ -52,6 +54,7 @@ struct Run {
   std::uint64_t reallocations = 0;  ///< kernel entries
   std::uint64_t plans = 0;          ///< selector plan() runs
   std::uint64_t failed = 0;         ///< rotations that ended Failed/Poisoned
+  rispp::rt::GreedySelector::ReplayCounts replay;  ///< how plans were answered
 };
 
 template <class Host>
@@ -67,6 +70,9 @@ Run run_on(const std::shared_ptr<const SiLibrary>& lib, SimConfig cfg,
   run.reallocations = host.manager().counters().get("reallocations");
   run.plans = host.manager().counters().get("selector_plans");
   run.failed = host.manager().counters().get("rotations_failed");
+  if (const auto* greedy = dynamic_cast<const rispp::rt::GreedySelector*>(
+          &host.manager().selection_policy()))
+    run.replay = greedy->replay_counts();
   return run;
 }
 
@@ -297,6 +303,36 @@ TEST(KernelCounterPins, ManyTaskAt512Tasks) {
   EXPECT_EQ(run.plans, 770u);
   EXPECT_EQ(run.result.rotations, 6u);
   EXPECT_EQ(run.result.total_cycles, 5041769u);
+}
+
+/// How the greedy selector answered those plans: a fall-back to planning
+/// from scratch (or a replay that diverges earlier) shows up here even
+/// though every plan, and so every count above, stays the same.
+TEST(KernelCounterPins, SelectorReplayCounts) {
+  using Diverged = std::vector<std::uint64_t>;
+  const auto lib = rispp::isa::share(SiLibrary::h264());
+  const auto many = run_on<Simulator>(lib, contention_config(25000),
+                                      sim_scenarios::many_task(*lib, 512));
+  EXPECT_EQ(many.plans, 770u);
+  EXPECT_EQ(many.replay.full, 1u);
+  EXPECT_EQ(many.replay.reused, 2u);
+  EXPECT_EQ(many.replay.replayed, 757u);
+  EXPECT_EQ(many.replay.diverged_at, Diverged({3, 0, 7}));
+
+  SimConfig cfg;
+  cfg.rt.atom_containers = 4;
+  cfg.quantum = 5000;
+  const auto phased = run_on<Simulator>(
+      lib, cfg,
+      rispp::workload::TraceSource::make_phased(
+          rispp::workload::PhasedWorkload::from_file(
+              RISPP_TEST_DATA_DIR "/phased_small.workload", lib))
+          ->tasks());
+  EXPECT_EQ(phased.plans, 41u);
+  EXPECT_EQ(phased.replay.full, 1u);
+  EXPECT_EQ(phased.replay.reused, 3u);
+  EXPECT_EQ(phased.replay.replayed, 34u);
+  EXPECT_EQ(phased.replay.diverged_at, Diverged({3}));
 }
 
 }  // namespace
